@@ -7,11 +7,6 @@ Claims under test:
 * lookup ``O(1)`` — the ``lookup`` group should be flat across ``n``;
 * update ``O(n^eps)`` — insert+remove cycles likewise.
 
-Every series runs on both storage layouts (``object`` — one Python node
-object per trie block — and ``arena`` — flat typed arrays, see
-``docs/storage.md``); the layout shows up as the first parametrize axis
-so report ids read ``test_lookup[object-1024]`` / ``test_lookup[arena-1024]``.
-
 (E2, the Figure 1 register layout, is verified bit-for-bit in
 ``tests/storage/test_figure1.py``.)
 """
@@ -20,8 +15,9 @@ import random
 
 import pytest
 
+from repro.storage.trie import TrieStore
+
 SIZES = (2 ** 10, 2 ** 14, 2 ** 18)
-LAYOUTS = ("object", "arena")
 
 
 def _random_keys(n: int, k: int, count: int, seed: int = 0):
@@ -29,20 +25,13 @@ def _random_keys(n: int, k: int, count: int, seed: int = 0):
     return [tuple(rng.randrange(n) for _ in range(k)) for _ in range(count)]
 
 
-def _make_store(n: int, k: int, layout: str):
-    from repro.storage.arena import make_trie_store
-
-    return make_trie_store(n, k, 0.5, layout=layout)
-
-
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_init(benchmark, layout, n, k):
+def test_init(benchmark, n, k):
     keys = _random_keys(n, k, 2000)
 
     def build():
-        store = _make_store(n, k, layout)
+        store = TrieStore(n, k, 0.5)
         for key in keys:
             store.insert(key, 0)
         return store
@@ -54,9 +43,8 @@ def test_init(benchmark, layout, n, k):
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_lookup(benchmark, layout, n):
-    store = _make_store(n, 2, layout)
+def test_lookup(benchmark, n):
+    store = TrieStore(n, 2, 0.5)
     for key in _random_keys(n, 2, 2000):
         store.insert(key, 0)
     probes = _random_keys(n, 2, 512, seed=1)
@@ -70,9 +58,8 @@ def test_lookup(benchmark, layout, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_update_cycle(benchmark, layout, n):
-    store = _make_store(n, 1, layout)
+def test_update_cycle(benchmark, n):
+    store = TrieStore(n, 1, 0.5)
     for key in _random_keys(n, 1, 1000):
         store.insert(key, 0)
     cycle = _random_keys(n, 1, 128, seed=2)
@@ -88,10 +75,9 @@ def test_update_cycle(benchmark, layout, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_successor_scan(benchmark, layout, n):
+def test_successor_scan(benchmark, n):
     """Ordered iteration via successor hops — constant per hop."""
-    store = _make_store(n, 1, layout)
+    store = TrieStore(n, 1, 0.5)
     for key in _random_keys(n, 1, 1500):
         store.insert(key, 0)
 

@@ -22,7 +22,7 @@ the guard is inert on the whole serving read path under concurrent
 load — the dynamic counterpart of the static CCY pass.
 
 With ``--pool N`` the script instead smokes the pre-fork pool: it warms
-an arena snapshot, starts ``repro serve --pool-workers N``, and asserts
+a snapshot, starts ``repro serve --pool-workers N``, and asserts
 the preloaded index serves the very first request from the shared-memory
 copy, concurrent clients agree with the oracle through the router, the
 batch endpoint is position-exact, ``/v1/stats`` aggregates the pool and
@@ -101,7 +101,6 @@ def run_pool(workers: int) -> int:
     """The pre-fork leg: warm snapshot, pooled server, concurrent oracle."""
     import tempfile
 
-    from repro.core.config import EngineConfig
     from repro.graphs.generators import FAMILIES
     from repro.persist import cache_path, index_fingerprint, save_index
 
@@ -111,7 +110,7 @@ def run_pool(workers: int) -> int:
     solutions = list(oracle.enumerate())
     spec = family_spec("grid", n, seed=seed)
     with tempfile.TemporaryDirectory(prefix="repro-smoke-pool-") as tmp:
-        warm = build_index(graph, query, config=EngineConfig(layout="arena"))
+        warm = build_index(graph, query)
         fingerprint = index_fingerprint(graph, query)
         save_index(warm, cache_path(tmp, fingerprint), fingerprint)
         proc, url = start_server([

@@ -63,6 +63,6 @@ def open_index(
     method:
         ``"auto"`` | ``"indexed"`` | ``"naive"``.
     config:
-        Engine thresholds and layout (:class:`~repro.core.config.EngineConfig`).
+        Engine thresholds (:class:`~repro.core.config.EngineConfig`).
     """
     return build_index(graph, query, free_order, method=method, config=config)

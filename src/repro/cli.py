@@ -26,13 +26,13 @@ Commands
     and optionally write flamegraph.pl / speedscope input.
 
 ``query FILE QUERY [--enumerate N] [--count] [--test a,b] [--next a,b]
-[--cache DIR] [--workers N] [--layout L]``
+[--cache DIR] [--workers N]``
     Build the Theorem 2.3 index over the graph in FILE and answer.  With
     ``--cache`` the index is served from (and saved to) a snapshot
     directory, so the pseudo-linear preprocessing is paid once across
     process invocations; see :mod:`repro.persist`.
 
-``warm GRAPH QUERY -o FILE [--workers N] [--layout L]``
+``warm GRAPH QUERY -o FILE [--workers N]``
     Run the preprocessing now and snapshot the built index to FILE, so a
     later ``query --cache`` (or :func:`repro.persist.load_index`) starts
     warm.
@@ -268,19 +268,13 @@ def _cmd_profile(args) -> int:
 
 def _engine_config(args):
     from repro.core.config import DEFAULT_CONFIG, EngineConfig
-    from repro.storage import resolve_layout
 
     workers = getattr(args, "workers", 1)
     if workers < 1:
         raise UsageError(f"--workers must be >= 1, got {workers}")
-    layout = getattr(args, "layout", "auto")
-    try:
-        resolve_layout(layout)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if workers == 1 and layout == "auto":
+    if workers == 1:
         return DEFAULT_CONFIG
-    return EngineConfig(workers=workers, layout=layout)
+    return EngineConfig(workers=workers)
 
 
 def _cmd_query(args) -> int:
@@ -576,10 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("--enumerate", type=int, default=None, metavar="N")
     trace_cmd.add_argument("--workers", type=int, default=1, metavar="N",
                            help="threads for the per-bag preprocessing fan-out")
-    trace_cmd.add_argument("--layout", default="auto",
-                           choices=["auto", "object", "arena"],
-                           help="trie register layout (auto follows "
-                                "REPRO_STORAGE_LAYOUT)")
     trace_cmd.add_argument("-o", "--output", metavar="FILE", default=None,
                            help="write the trace to FILE instead of (only) "
                                 "printing the span tree")
@@ -595,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument("graph")
     profile_cmd.add_argument("query")
     profile_cmd.add_argument("--method", default="auto",
-                             choices=["auto", "bfs", "treedepth"])
+                             choices=["auto", "indexed", "naive"])
     profile_cmd.add_argument("--count", action="store_true")
     profile_cmd.add_argument("--enumerate", type=int, default=1000, metavar="N",
                              help="enumerate up to N solutions under the "
@@ -609,9 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "the leaf frame")
     profile_cmd.add_argument("--workers", type=int, default=1, metavar="N",
                              help="parallel preprocessing workers")
-    profile_cmd.add_argument("--layout", default="auto",
-                             choices=["auto", "pointer", "arena"],
-                             help="trie storage layout (see docs/storage.md)")
     profile_cmd.add_argument("-o", "--output", metavar="FILE", default=None,
                              help="write collapsed stacks for flamegraph.pl "
                              "/ speedscope")
@@ -630,10 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve from (and save to) a snapshot cache directory")
     query.add_argument("--workers", type=int, default=1, metavar="N",
                        help="threads for the per-bag preprocessing fan-out")
-    query.add_argument("--layout", default="auto",
-                       choices=["auto", "object", "arena"],
-                       help="trie register layout (auto follows "
-                            "REPRO_STORAGE_LAYOUT)")
     query.set_defaults(func=_cmd_query)
 
     warm_cmd = commands.add_parser(
@@ -646,10 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["auto", "indexed", "naive"])
     warm_cmd.add_argument("--workers", type=int, default=1, metavar="N",
                           help="threads for the per-bag preprocessing fan-out")
-    warm_cmd.add_argument("--layout", default="auto",
-                          choices=["auto", "object", "arena"],
-                          help="trie register layout (auto follows "
-                               "REPRO_STORAGE_LAYOUT)")
     warm_cmd.set_defaults(func=_cmd_warm)
 
     bench = commands.add_parser("bench", help="one-line timing summary")
@@ -681,10 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="socket read timeout per request")
     serve.add_argument("--workers", type=int, default=1, metavar="N",
                        help="threads for the per-bag preprocessing fan-out")
-    serve.add_argument("--layout", default="auto",
-                       choices=["auto", "object", "arena"],
-                       help="trie register layout (auto follows "
-                            "REPRO_STORAGE_LAYOUT)")
     serve.add_argument("--trace-sample", type=float, default=0.0, metavar="P",
                        help="record a span tree for this fraction of requests "
                             "(X-Trace-Id requests are always recorded)")

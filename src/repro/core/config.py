@@ -35,17 +35,6 @@ class EngineConfig:
         the oracle in parallel-equivalence tests.  Build-strategy only:
         the constructed index is identical for every value, so snapshot
         fingerprints deliberately exclude it.
-    layout:
-        Register layout for every Storing-Theorem trie in the index:
-        ``"object"`` (the original list-of-pairs structures, kept as
-        the differential-testing oracle), ``"arena"`` (flat typed
-        arrays with an interned-payload side table — same answers in
-        the same order, roughly half the per-lookup cost and far
-        smaller snapshots), or ``"auto"`` (the default) to follow
-        ``REPRO_STORAGE_LAYOUT`` and fall back to ``"object"``.
-        Representation-only: both layouts are register-level identical
-        under the differential suite, so snapshot fingerprints exclude
-        it like ``workers``.
     """
 
     eps: float = 0.5
@@ -55,7 +44,6 @@ class EngineConfig:
     bag_max_depth: int = 12
     precompute_far: bool = True
     workers: int = 1
-    layout: str = "auto"
 
 
 DEFAULT_CONFIG = EngineConfig()

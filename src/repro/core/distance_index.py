@@ -63,7 +63,6 @@ class DistanceIndex:
         naive_threshold: int = DEFAULT_NAIVE_THRESHOLD,
         strategy: SplitterStrategy | None = None,
         max_depth: int = DEFAULT_MAX_DEPTH,
-        layout: str | None = None,
         _depth: int = 0,
     ) -> None:
         if radius < 0:
@@ -71,7 +70,6 @@ class DistanceIndex:
         self.graph = graph
         self.radius = radius
         self.eps = eps
-        self.layout = layout
         self.naive_threshold = max(2, naive_threshold)
         self.max_depth = max_depth
         self._depth = _depth
@@ -112,7 +110,7 @@ class DistanceIndex:
         self._mode = "cover"
         graph, r = self.graph, self.radius
         strategy = self._strategy or default_strategy(graph)
-        self.cover = build_cover(graph, r, eps=self.eps, layout=self.layout)  # Step 2
+        self.cover = build_cover(graph, r, eps=self.eps)  # Step 2
         self._splitter: list[int] = []
         self._dist_to_s: list[dict[int, int]] = []
         self._children: list["DistanceIndex"] = []
@@ -144,7 +142,6 @@ class DistanceIndex:
                 self.naive_threshold,
                 self._strategy,
                 self.max_depth,
-                layout=self.layout,
                 _depth=child_depth,
             )
             self._children.append(child)

@@ -62,7 +62,6 @@ class DynamicUnaryIndex:
         phi: Formula,
         var: Var,
         eps: float = 0.5,
-        layout: str | None = None,
     ) -> None:
         self.graph = graph
         self.var = var
@@ -81,7 +80,6 @@ class DynamicUnaryIndex:
             1,
             eps=eps,
             items=(((v,), True) for v in members),
-            layout=layout,
         )
 
     # ------------------------------------------------------------------

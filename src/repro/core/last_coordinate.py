@@ -103,12 +103,10 @@ class LastCoordinateIndex:
                 eps=config.eps,
                 naive_threshold=config.dist_naive_threshold,
                 max_depth=config.dist_max_depth,
-                layout=config.layout,
             )
         # Step 3: (kr, 2kr)-cover and r-kernels
         self.cover = build_cover(
-            graph, self.k * self.r, eps=config.eps, workers=config.workers,
-            layout=config.layout,
+            graph, self.k * self.r, eps=config.eps, workers=config.workers
         )
         with _trace_span("last.kernels", bags=len(self.cover.bags), radius=self.r):
             if config.workers > 1 and len(self.cover.bags) > 1:
@@ -234,7 +232,6 @@ class LastCoordinateIndex:
                 self.kernels,
                 k=max(self.k - 1, 1),
                 eps=self.config.eps,
-                layout=self.config.layout,
             )
             with self._memo_lock:
                 cached = self._far_structures_cache.setdefault(psi, (targets, skips))

@@ -160,10 +160,7 @@ class NextSolutionIndex:
                 self._holds = model_check(graph, phi, eps=config.eps)
                 return
             if self.k == 1:
-                self._unary = UnaryIndex(
-                    graph, phi, self.free_order[0], eps=config.eps,
-                    layout=config.layout,
-                )
+                self._unary = UnaryIndex(graph, phi, self.free_order[0], eps=config.eps)
                 return
             self.last = LastCoordinateIndex(
                 graph, phi, self.free_order, config, decomposition=decomposition
@@ -181,7 +178,6 @@ class NextSolutionIndex:
                     self.free_order[0],
                     eps=config.eps,
                     solutions=solutions,
-                    layout=config.layout,
                 )
             elif decomposition is not None:
                 # a synthetic (relaxed) decomposition has no formula to project:

@@ -276,17 +276,14 @@ def _patch_unary(
     u: int,
     v: int,
     eps: float,
-    layout: str | None,
 ) -> object:
     """Repair the arity-1 level: overlay when local, recompute when not."""
     psi = normalize(phi)
     radius = locality_radius(psi, frozenset((var,)))
     if radius is None:
         # escalation: no certified locality radius — re-solve from scratch
-        fresh = unary_solutions(new_graph, phi, var, eps=eps, layout=layout)
-        return UnaryIndex(
-            new_graph, phi, var, eps=eps, solutions=fresh, layout=layout
-        )
+        fresh = unary_solutions(new_graph, phi, var, eps=eps)
+        return UnaryIndex(new_graph, phi, var, eps=eps, solutions=fresh)
     touched = _touched_ball(old_graph, new_graph, u, v, radius)
     if isinstance(old_unary, PatchedUnaryIndex):
         base = old_unary._base
@@ -308,9 +305,7 @@ def _patch_unary(
     if len(added) + len(removed) > max(_COLLAPSE_FLOOR, int(new_graph.n**0.5)):
         # collapse: fold the (no longer small) delta into a fresh store
         merged = sorted((set(base.solutions) - removed) | added)
-        return UnaryIndex(
-            new_graph, phi, var, eps=eps, solutions=merged, layout=layout
-        )
+        return UnaryIndex(new_graph, phi, var, eps=eps, solutions=merged)
     return PatchedUnaryIndex(base, new_graph, added, removed)
 
 
@@ -344,7 +339,6 @@ def _patched_cover(
     cover.centers = old.centers
     cover.assignment = old.assignment
     cover.eps = old.eps
-    cover.layout = old.layout
     cover.assigned = old.assigned
     cover._member_sets = member_sets
     cover._membership_store = None
@@ -389,7 +383,6 @@ def _repair_far(
         index.kernels,
         k=max(index.k - 1, 1),
         eps=index.config.eps,
-        layout=index.config.layout,
     )
     return (targets, skips)
 
@@ -514,7 +507,6 @@ def _repair_next(
             u,
             v,
             config.eps,
-            config.layout,
         )
         return new
     new.last = _repair_last(old_graph, new_graph, node.last, u, v, inserted)
@@ -531,7 +523,6 @@ def _repair_next(
             new.free_order[0],
             eps=config.eps,
             solutions=solutions,
-            layout=config.layout,
         )
         return new
     prefix = node._prefix

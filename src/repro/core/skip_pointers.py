@@ -18,13 +18,17 @@ hopping through stored values of larger ``b``.  Pointers are computed for
 ``b`` from largest to smallest (Claim 5.10) and stored in a Theorem 3.1
 :class:`StoredFunction` keyed by ``(b, bag_1, ..., bag_k)`` with a
 sentinel padding value — so lookups meet the paper's constant-time bound.
+The sweep only reads pointers of larger ``b``, which it has already
+computed, so it collects them in a plain dict and bulk-loads the store
+once at the end instead of paying per-key trie gap maintenance.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Sequence
+from typing import Any
 
-from repro.contracts import builds, constant_time, frozen_after_build, pseudo_linear, read_only
+from repro.contracts import constant_time, frozen_after_build, pseudo_linear, read_only
 from repro.storage.function_store import StoredFunction
 from repro.trace.runtime import span as _trace_span
 
@@ -58,7 +62,6 @@ class SkipPointers:
         kernels: Sequence[Collection[int]],
         k: int,
         eps: float = 0.5,
-        layout: str | None = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
@@ -84,9 +87,11 @@ class SkipPointers:
         # the stored pointers: key (b, sorted bag ids padded with sentinel)
         self._sentinel = self.num_bags  # one past the largest bag id
         universe = max(n, self._sentinel + 1)
-        self._store = StoredFunction(universe, k + 1, eps=eps, layout=layout)
         with _trace_span("skip_pointers.build", n=n, bags=self.num_bags):
-            self._precompute()
+            pointers = self._precompute()
+            self._store = StoredFunction(
+                universe, k + 1, eps=eps, items=pointers.items()
+            )
 
     # ------------------------------------------------------------------
     # preprocessing (Claim 5.10): b from largest to smallest
@@ -98,22 +103,25 @@ class SkipPointers:
         return (b, *padded)
 
     @pseudo_linear(note="Claim 5.10 sweep, b from largest to smallest")
-    @builds
-    def _precompute(self) -> None:
+    @read_only
+    def _precompute(self) -> dict[tuple[int, ...], Any]:
+        """Every pointer of the small cases ``SC(b)``, keyed like the store."""
+        pointers: dict[tuple[int, ...], Any] = {}
         for b in range(self.n - 1, -1, -1):
             # seed SC(b) with singletons, then close under the SKIP rule
             queue = [frozenset((x,)) for x in self._kernel_bags[b]]
             seen = set(queue)
             while queue:
                 bag_set = queue.pop()
-                value = self._resolve(b, bag_set)
-                self._store[self._key(b, bag_set)] = _NULL if value is None else value
+                value = self._resolve(b, bag_set, pointers)
+                pointers[self._key(b, bag_set)] = _NULL if value is None else value
                 if value is not None and len(bag_set) < self.k:
                     for x in self._kernel_bags[value]:
                         extended = bag_set | {x}
                         if extended not in seen and len(extended) <= self.k:
                             seen.add(extended)
                             queue.append(extended)
+        return pointers
 
     # ------------------------------------------------------------------
     # Claim 5.9 resolution
@@ -125,8 +133,12 @@ class SkipPointers:
 
     @constant_time(note="Claim 5.9: constantly many hops")
     @read_only
-    def _resolve(self, b: int, bags: frozenset[int]) -> int | None:
-        """Compute SKIP(b, bags) using stored pointers of vertices > b."""
+    def _resolve(self, b: int, bags: frozenset[int], stored_at: Any) -> int | None:
+        """Compute SKIP(b, bags) using stored pointers of vertices > b.
+
+        ``stored_at`` maps pointer keys to values through ``.get`` — the
+        sweep's dict while :meth:`_precompute` runs, the store afterwards.
+        """
         # Case 1: b itself qualifies.
         if self._in_l[b] and not self._in_some_kernel(b, bags):
             return b
@@ -137,8 +149,8 @@ class SkipPointers:
         if not self._in_some_kernel(c, bags):
             return c
         # c sits in some kernel of `bags`; grow a maximal stored subset at c.
-        subset = self._maximal_stored_subset(c, bags)
-        stored = self._store.get(self._key(c, subset))
+        subset = self._maximal_stored_subset(c, bags, stored_at)
+        stored = stored_at.get(self._key(c, subset))
         if stored is None:
             raise AssertionError(
                 f"missing stored pointer for ({c}, {sorted(subset)})"
@@ -147,13 +159,15 @@ class SkipPointers:
 
     @constant_time(note="at most k growth steps, k fixed")
     @read_only
-    def _maximal_stored_subset(self, c: int, bags: frozenset[int]) -> frozenset[int]:
+    def _maximal_stored_subset(
+        self, c: int, bags: frozenset[int], stored_at: Any
+    ) -> frozenset[int]:
         """Greedily grow ``S' ⊆ bags`` with ``S' ∈ SC(c)`` until maximal,
         following exactly the Claim 5.9 argument."""
         start = next(x for x in bags if c in self._kernel_sets[x])
         subset = frozenset((start,))
         while len(subset) < len(bags):
-            stored = self._store.get(self._key(c, subset))
+            stored = stored_at.get(self._key(c, subset))
             value = None if stored == _NULL else stored
             if value is None:
                 break
@@ -177,7 +191,7 @@ class SkipPointers:
             raise ValueError(f"at most {self.k} bags per query, got {len(bag_set)}")
         if not 0 <= b < self.n:
             raise ValueError(f"vertex {b} out of range [0, {self.n})")
-        return self._resolve(b, bag_set)
+        return self._resolve(b, bag_set, self._store)
 
     @property
     @read_only

@@ -38,7 +38,6 @@ def unary_solutions(
     eps: float = 0.5,
     bag_threshold: int | None = None,
     on_error: str = "naive",
-    layout: str | None = None,
 ) -> list[int]:
     """All vertices satisfying the unary query ``phi(var)``, sorted.
 
@@ -62,7 +61,7 @@ def unary_solutions(
     if not alternatives:
         return []
     r = decomposition.radius
-    cover = build_cover(graph, r, eps=eps, layout=layout)
+    cover = build_cover(graph, r, eps=eps)
     solvers: dict[int, BagSolver] = {}
     bag_maps: dict[int, tuple] = {}
     component = frozenset((0,))
@@ -108,16 +107,13 @@ class UnaryIndex:
         var: Var,
         eps: float = 0.5,
         solutions: list[int] | None = None,
-        layout: str | None = None,
     ) -> None:
         self.graph = graph
         self.var = var
         if solutions is None:
             # propagate DecompositionError: the engine's method="auto" then
             # falls back to the naive baseline *visibly*
-            solutions = unary_solutions(
-                graph, phi, var, eps=eps, on_error="raise", layout=layout
-            )
+            solutions = unary_solutions(graph, phi, var, eps=eps, on_error="raise")
         self.solutions = solutions
         self._store: StoredFunction | None = None
         if graph.n > 0:
@@ -126,7 +122,6 @@ class UnaryIndex:
                 1,
                 eps=eps,
                 items=(((v,), True) for v in solutions),
-                layout=layout,
             )
 
     @constant_time(note="one stored-function successor query")

@@ -65,7 +65,6 @@ class NeighborhoodCover:
         centers: list[int],
         assignment: list[int],
         eps: float,
-        layout: str | None = None,
     ) -> None:
         self.graph = graph
         self.radius = radius
@@ -74,7 +73,6 @@ class NeighborhoodCover:
         self.centers = centers  # bag id -> center c_X
         self.assignment = assignment  # vertex -> canonical bag id X(a)
         self.eps = eps
-        self.layout = layout
         # per-bag list of b with X(b) = X (Step 3 of Section 5.2.1)
         self.assigned: list[list[int]] = [[] for _ in bags]
         for vertex, bag_id in enumerate(assignment):
@@ -130,7 +128,6 @@ class NeighborhoodCover:
                     for bag_id, bag in enumerate(self.bags)
                     for vertex in bag
                 ),
-                layout=self.layout,
             )
             with self._memo_lock:
                 if self._membership_store is None:
@@ -299,7 +296,6 @@ def build_cover(
     eps: float = 0.5,
     order: Sequence[int] | None = None,
     workers: int = 1,
-    layout: str | None = None,
 ) -> NeighborhoodCover:
     """Build an (r, 2r)-neighborhood cover greedily (Theorem 4.4).
 
@@ -319,9 +315,6 @@ def build_cover(
     workers:
         Thread count for the speculative BFS fan-out; ``1`` runs the
         plain sequential scan.  Both paths produce the identical cover.
-    layout:
-        Register layout for the membership index (see
-        :class:`~repro.core.config.EngineConfig`).
     """
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
@@ -345,5 +338,5 @@ def build_cover(
         if sp is not None:
             sp.attributes["bags"] = len(bags)
         return NeighborhoodCover(
-            graph, radius, 2 * radius, bags, centers, assignment, eps, layout
+            graph, radius, 2 * radius, bags, centers, assignment, eps
         )

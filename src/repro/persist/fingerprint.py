@@ -16,14 +16,11 @@ match, so the fingerprint is a SHA-256 over:
 * the chosen build method (``indexed``/``naive``/``auto`` resolve to
   different implementations);
 * every :class:`~repro.core.config.EngineConfig` field **except**
-  ``workers`` and ``layout`` — thresholds and exponents shape the built
-  structure, but ``workers`` only chooses the build strategy (proven
-  output-equivalent by the parallel-equivalence tests) and ``layout``
-  only chooses the register representation (proven answer- and
-  order-identical by the storage differential suite), so a snapshot
-  warmed with ``workers=8, layout="arena"`` serves a
-  ``workers=1, layout="object"`` query;
-* the snapshot format version, so readers never parse a layout they do
+  ``workers`` — thresholds and exponents shape the built structure, but
+  ``workers`` only chooses the build strategy (proven output-equivalent
+  by the parallel-equivalence tests), so a snapshot warmed with
+  ``workers=8`` serves a ``workers=1`` query;
+* the snapshot format version, so readers never parse a format they do
   not understand.
 """
 
@@ -50,10 +47,14 @@ from repro.logic.syntax import Formula, Var
 #: component — an updated index snapshots under its version-0 key, so
 #: the whole update lineage shares one snapshot slot and reloading it
 #: resumes at the persisted version, not at 0.
-FORMAT_VERSION = 3
+#: v4: one register file — tries pickle as ``repro.storage.trie.TrieStore``
+#: over ``repro.storage.registers.RegisterFile`` (the flat arena) and
+#: ``StoredFunction`` no longer records a layout; v3 class paths name the
+#: deleted object layout or ``repro.storage.arena``.
+FORMAT_VERSION = 4
 
 #: EngineConfig fields that do not affect the built structure.
-_BUILD_ONLY_FIELDS = frozenset({"workers", "layout"})
+_BUILD_ONLY_FIELDS = frozenset({"workers"})
 
 
 def graph_digest(graph: ColoredGraph) -> str:

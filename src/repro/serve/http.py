@@ -48,11 +48,14 @@ recorded enumeration-step spans live.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import logging
 import random
 import re
 import time
+from collections.abc import Iterator
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import socket
 from typing import Any
@@ -136,6 +139,26 @@ def read_request_body(
             f"bytes, got {len(body)}"
         )
     return body
+
+
+@contextlib.contextmanager
+def hold_response(handler: BaseHTTPRequestHandler) -> Iterator[None]:
+    """Buffer everything ``handler`` writes back until the block exits.
+
+    A traced request's trace enters the trace buffer only after its root
+    span closes, which is after the handler has written the response.
+    Holding the bytes until the trace is buffered means a client that
+    has read the response always finds the trace at ``/v1/traces``.
+    """
+    wfile, handler.wfile = handler.wfile, io.BytesIO()
+    try:
+        yield
+    finally:
+        held, handler.wfile = handler.wfile, wfile
+        try:
+            wfile.write(held.getvalue())
+        except (BrokenPipeError, ConnectionResetError):  # client went away
+            handler.close_connection = True
 
 
 class RequestHandler(BaseHTTPRequestHandler):
@@ -312,22 +335,23 @@ class RequestHandler(BaseHTTPRequestHandler):
             observers = (
                 () if self.watchdog is None else (self.watchdog.on_span,)
             )
-            with tracing(
-                f"POST {path}",
-                trace_id=self._trace_id,
-                observers=observers,
-                parent_span_id=parent_span,
-                endpoint=path,
-            ) as tracer:
-                info = self._dispatch(path, handler_name)
-                index_meta = info.get("index") or {}
-                # the current span here is the request's root span
-                _trace_annotate(
-                    http_status=info.get("status"),
-                    cache=index_meta.get("status"),
-                    fingerprint=index_meta.get("fingerprint"),
-                )
-            self.trace_buffer.add(tracer)
+            with hold_response(self):
+                with tracing(
+                    f"POST {path}",
+                    trace_id=self._trace_id,
+                    observers=observers,
+                    parent_span_id=parent_span,
+                    endpoint=path,
+                ) as tracer:
+                    info = self._dispatch(path, handler_name)
+                    index_meta = info.get("index") or {}
+                    # the current span here is the request's root span
+                    _trace_annotate(
+                        http_status=info.get("status"),
+                        cache=index_meta.get("status"),
+                        fingerprint=index_meta.get("fingerprint"),
+                    )
+                self.trace_buffer.add(tracer)
         else:
             info = self._dispatch(path, handler_name)
         elapsed_ms = (time.perf_counter() - started) * 1000

@@ -64,6 +64,7 @@ from repro.serve.http import (
     _POST_ROUTES,
     _TRACE_ID_RE,
     build_handler,
+    hold_response,
     read_request_body,
 )
 from repro.serve.service import QueryService, ServeError
@@ -988,26 +989,27 @@ class RouterHandler(BaseHTTPRequestHandler):
         if not recording:
             self._proxy(wid, "POST", body, idempotent=idempotent)
             return
-        with tracing(
-            "pool.route",
-            trace_id=inbound.lower(),
-            endpoint=path,
-            worker=wid,
-            shards=self.pool.shards,
-        ) as tracer:
-            # the still-open pool.route root span is the worker's parent
-            current = _current_span()
-            parent_id = current.span_id if current is not None else None
-            self._proxy(
-                wid,
-                "POST",
-                body,
-                idempotent=idempotent,
-                extra_headers=(
-                    {"X-Parent-Span": parent_id} if parent_id is not None else {}
-                ),
-            )
-        self.pool.trace_buffer.add(tracer)
+        with hold_response(self):
+            with tracing(
+                "pool.route",
+                trace_id=inbound.lower(),
+                endpoint=path,
+                worker=wid,
+                shards=self.pool.shards,
+            ) as tracer:
+                # the still-open pool.route root span is the worker's parent
+                current = _current_span()
+                parent_id = current.span_id if current is not None else None
+                self._proxy(
+                    wid,
+                    "POST",
+                    body,
+                    idempotent=idempotent,
+                    extra_headers=(
+                        {"X-Parent-Span": parent_id} if parent_id is not None else {}
+                    ),
+                )
+            self.pool.trace_buffer.add(tracer)
 
     def _proxy_to_worker(self, method: str, body: bytes | None) -> None:
         query = parse_qs(urlsplit(self.path).query)

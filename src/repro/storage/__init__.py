@@ -6,45 +6,24 @@ constant-time *lookup-or-successor*, and ``O(n^eps)`` insert/remove.
 
 :class:`~repro.storage.function_store.StoredFunction` is the public facade;
 it also maintains the dual (reverse-order) trie the paper uses for
-predecessor queries (Section 7.2.2).
-
-Two register layouts implement the same structure: the original
-object layout (:class:`~repro.storage.registers.RegisterFile`, the
-differential-testing oracle) and the flat arena
-(:class:`~repro.storage.arena.ArenaRegisterFile`, the fast path).
-:func:`~repro.storage.arena.make_trie_store` and the ``layout``
-keyword on :class:`StoredFunction` select between them; see
-``docs/storage.md``.
+predecessor queries (Section 7.2.2).  Registers live in one flat arena
+(:class:`~repro.storage.registers.RegisterFile`), which snapshots as
+compressed raw buffers and which the serving pool can mmap-share across
+workers (:mod:`repro.storage.shared`); see ``docs/storage.md``.
 """
 
-from repro.storage.arena import (
-    DEFAULT_LAYOUT,
-    LAYOUT_ENV_VAR,
-    LAYOUTS,
-    ArenaRegisterFile,
-    ArenaTrieStore,
-    make_trie_store,
-    resolve_layout,
-)
 from repro.storage.function_store import StoredFunction
 from repro.storage.registers import RegisterFile
 from repro.storage.shared import SharedArena, share_index, shared_map_stats
 from repro.storage.trie import HIT, MISS, TrieStore
 
 __all__ = [
-    "ArenaRegisterFile",
-    "ArenaTrieStore",
-    "DEFAULT_LAYOUT",
     "HIT",
-    "LAYOUTS",
-    "LAYOUT_ENV_VAR",
     "MISS",
     "RegisterFile",
     "SharedArena",
     "StoredFunction",
     "TrieStore",
-    "make_trie_store",
-    "resolve_layout",
     "share_index",
     "shared_map_stats",
 ]

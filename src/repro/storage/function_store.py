@@ -18,8 +18,7 @@ from collections.abc import Iterable, Iterator
 from typing import Any
 
 from repro.contracts import builds, constant_time, delay, frozen_after_build, read_only
-from repro.storage.arena import make_trie_store, resolve_layout
-from repro.storage.trie import HIT, MISS
+from repro.storage.trie import HIT, MISS, TrieStore
 
 Key = tuple[int, ...]
 
@@ -40,12 +39,6 @@ class StoredFunction:
         Optional initial ``(key, value)`` pairs; loaded through the
         tries' batch bulk-load path (sort once, one construction pass)
         instead of per-key inserts.
-    layout:
-        Register layout: ``"object"`` (the original list-of-pairs
-        oracle), ``"arena"`` (flat typed arrays, the fast path), or
-        ``None``/``"auto"`` to defer to ``REPRO_STORAGE_LAYOUT`` and
-        the default.  Both layouts give identical answers in identical
-        order — only the constants differ.
 
     Examples
     --------
@@ -58,7 +51,7 @@ class StoredFunction:
     (5,)
     """
 
-    __slots__ = ("_primary", "_dual", "n", "k", "layout")
+    __slots__ = ("_primary", "_dual", "n", "k")
 
     def __init__(
         self,
@@ -66,11 +59,9 @@ class StoredFunction:
         k: int,
         eps: float = 0.5,
         items: Iterable[tuple[Key, Any]] = (),
-        layout: str | None = None,
     ) -> None:
-        self.layout = resolve_layout(layout)
-        self._primary = make_trie_store(n, k, eps, self.layout)
-        self._dual = make_trie_store(n, k, eps, self.layout)
+        self._primary = TrieStore(n, k, eps)
+        self._dual = TrieStore(n, k, eps)
         self.n = n
         self.k = k
         pairs = [(self._as_key(key), value) for key, value in items]

@@ -1,20 +1,20 @@
 """mmap-shared arena snapshots for the pre-fork serving pool.
 
-The flat arena (:mod:`repro.storage.arena`) stores the Theorem 3.1
-register file as two contiguous typed buffers — exactly the shape an
+The register file (:mod:`repro.storage.registers`) stores the Theorem
+3.1 registers as two contiguous typed buffers — exactly the shape an
 operating system can share between processes for free.  This module
 re-homes those buffers into one ``memfd``-backed ``MAP_SHARED`` mapping
 **before** the pool forks its workers:
 
 1. :func:`share_index` walks a built :class:`~repro.core.engine.QueryIndex`
-   and collects every reachable :class:`ArenaRegisterFile`;
+   and collects every reachable :class:`RegisterFile`;
 2. the raw ``_delta``/``_payload`` bytes are copied once into a single
    anonymous ``memfd`` (named ``memfd:repro-arena-...`` in
    ``/proc/*/smaps``, which is how the bench suite proves sharing);
 3. each register file adopts read-only ``memoryview`` casts of its slice
-   of the mapping (:meth:`ArenaRegisterFile.adopt_buffers`) and each
-   :class:`ArenaTrieStore` refreshes its fused-walk handles
-   (:meth:`ArenaTrieStore.rebind_arena`).
+   of the mapping (:meth:`RegisterFile.adopt_buffers`) and each
+   :class:`TrieStore` refreshes its fused-walk handles
+   (:meth:`TrieStore.rebind_arena`).
 
 After ``fork()`` every worker inherits the mapping: N workers answer
 ``test``/``next`` against the *same physical pages* — zero-copy, and the
@@ -25,9 +25,9 @@ without the ``--paranoid`` tripwire.
 
 Everything here is build-phase work on frozen objects — the helpers are
 ``@builds`` (statically checked) and the mutation runs inside
-:func:`~repro.contracts.build_phase` (runtime tripwire).  Object-layout
-indexes contain no arena buffers; sharing them is a no-op (fork's
-copy-on-write still shares the skeleton until the refcounts dirty it).
+:func:`~repro.contracts.build_phase` (runtime tripwire).  Indexes that
+hold no tries (the naive fallback) have nothing to share; fork's
+copy-on-write still shares their skeleton until the refcounts dirty it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ import os
 from typing import Any
 
 from repro.contracts import build_phase, builds
-from repro.storage.arena import ArenaRegisterFile, ArenaTrieStore
+from repro.storage.registers import RegisterFile
+from repro.storage.trie import TrieStore
 
 #: ``memfd_create`` name prefix; smaps shows ``memfd:<name>`` per mapping.
 MEMFD_NAME = "repro-arena"
@@ -119,16 +120,14 @@ def _iter_reachable(root: Any):
                         continue
 
 
-def collect_arenas(
-    root: Any,
-) -> tuple[list[ArenaRegisterFile], list[ArenaTrieStore]]:
-    """The arena register files and trie stores reachable from ``root``."""
-    files: list[ArenaRegisterFile] = []
-    stores: list[ArenaTrieStore] = []
+def collect_arenas(root: Any) -> tuple[list[RegisterFile], list[TrieStore]]:
+    """The register files and trie stores reachable from ``root``."""
+    files: list[RegisterFile] = []
+    stores: list[TrieStore] = []
     for obj in _iter_reachable(root):
-        if isinstance(obj, ArenaRegisterFile):
+        if isinstance(obj, RegisterFile):
             files.append(obj)
-        elif isinstance(obj, ArenaTrieStore):
+        elif isinstance(obj, TrieStore):
             stores.append(obj)
     return files, stores
 
@@ -152,10 +151,10 @@ def share_index(index: Any, tag: str = "") -> SharedArena | None:
     """Re-home every arena buffer under ``index`` into one shared mapping.
 
     Returns the :class:`SharedArena` (keep it referenced for the server's
-    lifetime), or ``None`` when the index holds no arena register files
-    (object layout).  Call **before** ``fork()``; afterwards the workers
-    read the parent's pages in place.  Answers are unchanged — this moves
-    the words, it never rewrites them.
+    lifetime), or ``None`` when the index holds no register files.  Call
+    **before** ``fork()``; afterwards the workers read the parent's pages
+    in place.  Answers are unchanged — this moves the words, it never
+    rewrites them.
     """
     files, stores = collect_arenas(index)
     if not files:

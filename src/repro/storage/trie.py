@@ -22,6 +22,16 @@ slot (procedure ``Cut``).
 Complexities for fixed ``k`` and ``eps`` (Theorem 3.1): lookup ``O(k*h)``
 = constant; insert/remove ``O(d*k*h)`` = ``O(n^eps)``; space
 ``O(|Dom(f)| * d * k * h)`` = ``O(|Dom(f)| * n^eps)`` registers.
+
+Two walks read the same registers.  :meth:`TrieStore.lookup` and
+:meth:`TrieStore.successor` are *fused*: they extract digits inline and
+read one payload word per level straight from the
+:class:`~repro.storage.registers.RegisterFile` arena (its CHILD-odd /
+GAP-even payload tags make the delta bytes unnecessary).  The *generic*
+walk (:meth:`TrieStore._encode` + :meth:`TrieStore._lookup_digits`) goes
+register by register through ``RegisterFile.read``; the update
+procedures use it, and the benchmarks replay probes through it to count
+register reads per lookup.
 """
 
 from __future__ import annotations
@@ -62,7 +72,10 @@ class TrieStore:
         ``d = ⌈n^eps⌉`` and depth ``h = ⌈1/eps⌉`` per coordinate.
     """
 
-    __slots__ = ("n", "k", "eps", "d", "h", "depth", "registers", "_root", "_size")
+    __slots__ = (
+        "n", "k", "eps", "d", "h", "depth", "registers", "_root", "_size",
+        "_cells", "_side", "_pows_head",
+    )
 
     def __init__(self, n: int, k: int, eps: float) -> None:
         if n < 1:
@@ -84,14 +97,10 @@ class TrieStore:
             self.h += 1
         self.depth = k * self.h  # number of branching levels
         with _trace_span("trie.create", n=n, k=k, d=self.d, h=self.h):
-            self.registers = self._make_registers()
+            self.registers = RegisterFile()
             self._root = self._new_node(parent_cell=None)
             self._size = 0
-
-    @builds
-    def _make_registers(self) -> RegisterFile:
-        """The backing register file; the arena layout overrides this."""
-        return RegisterFile()
+        self.rebind_arena()
 
     # ------------------------------------------------------------------
     # encoding (Algorithm 1, "Decomposition")
@@ -151,21 +160,55 @@ class TrieStore:
     # ------------------------------------------------------------------
     # lookup (Algorithm 2, "Access")
     # ------------------------------------------------------------------
-    @constant_time(note="Theorem 3.1 lookup-or-successor")
+    @constant_time(note="Theorem 3.1 lookup-or-successor; one word per level")
     @read_only
     def lookup(self, key: tuple[int, ...]) -> tuple[str, Any]:
-        """Constant-time lookup-or-successor.
+        """Constant-time lookup-or-successor (fused walk).
 
         Returns ``(HIT, value)`` if ``key`` is stored, else
         ``(MISS, succ)`` where ``succ`` is the smallest stored key
-        ``> key`` (or ``None`` if none exists).
+        ``> key`` (or ``None`` if none exists).  Answers equal the
+        generic walk's (:meth:`_lookup_digits`); the walk body is inlined
+        here and in :meth:`successor` because an extra Python frame per
+        call costs ~25% of this hot path.
         """
         _metrics_count("trie.lookup")
-        return self._lookup_digits(self._encode(key))
+        if len(key) != self.k:
+            raise ValueError(f"expected a {self.k}-tuple, got {key!r}")
+        n = self.n
+        for c in key:  # whole-key validation first, like _encode
+            if not 0 <= c < n:
+                raise ValueError(f"coordinate {c} out of range [0, {n})")
+        cells = self._cells
+        side = self._side
+        pows = self._pows_head
+        base = self._root
+        last_coordinate = self.k - 1
+        for index, c in enumerate(key):
+            for p in pows:
+                digit = c // p
+                c -= digit * p
+                word = cells[base + digit]
+                if word & 1:
+                    base = word >> 2
+                else:
+                    return (MISS, side[word >> 2]) if word else (MISS, None)
+            # the coordinate's last level: the divisor is 1, digit == c
+            word = cells[base + c]
+            if word & 1:
+                if index == last_coordinate:
+                    if word & 2:
+                        return (HIT, side[word >> 2])
+                    return (HIT, word >> 2)
+                base = word >> 2
+            else:
+                return (MISS, side[word >> 2]) if word else (MISS, None)
+        raise AssertionError("unreachable: trie walk fell through")  # pragma: no cover
 
     @constant_time(note="one root-to-leaf walk of depth k*h")
     @read_only
     def _lookup_digits(self, digits: list[int]) -> tuple[str, Any]:
+        """The generic walk: one counted register read per level."""
         base = self._root
         last = self.depth - 1
         for t, digit in enumerate(digits):
@@ -189,27 +232,57 @@ class TrieStore:
     def __contains__(self, key: tuple[int, ...]) -> bool:
         return self.lookup(key)[0] == HIT
 
-    @constant_time(note="Section 7.2.2: at most two trie walks")
+    @constant_time(note="Section 7.2.2: one fused walk on the (bumped) key")
     @read_only
     def successor(self, key: tuple[int, ...], strict: bool = False) -> tuple[int, ...] | None:
         """Smallest stored key ``>= key`` (``> key`` when ``strict``).
 
-        Constant time: one or two trie walks (Section 7.2.2).
+        The strict case walks from the next key in *tuple* order (carry
+        at ``n``) rather than the next base-``d`` *digit string*: the
+        digit strings strictly between the two encode no valid keys, so
+        both walks land in the same gap cell and read the same stored
+        successor.  Like :meth:`lookup`, the walk body is inlined — this
+        is the enumeration hot path.
         """
         _metrics_count("trie.successor")
-        digits = self._encode(key)
-        if not strict:
-            status, payload = self._lookup_digits(digits)
-            if status == HIT:
-                return key
-            return payload
-        bumped = self._increment(digits, self.d)
-        if bumped is None:
-            return None
-        status, payload = self._lookup_digits(bumped)
-        if status == HIT:
-            return self._decode(bumped)
-        return payload
+        if len(key) != self.k:
+            raise ValueError(f"expected a {self.k}-tuple, got {key!r}")
+        n = self.n
+        for c in key:  # whole-key validation first, like _encode
+            if not 0 <= c < n:
+                raise ValueError(f"coordinate {c} out of range [0, {n})")
+        if strict:
+            bump = self.k - 1
+            while bump >= 0 and key[bump] + 1 >= n:
+                bump -= 1
+            if bump < 0:  # every coordinate carried: key was the maximum
+                return None
+            if bump == self.k - 1:
+                key = key[:bump] + (key[bump] + 1,)
+            else:
+                key = key[:bump] + (key[bump] + 1,) + (0,) * (self.k - 1 - bump)
+        cells = self._cells
+        side = self._side
+        pows = self._pows_head
+        base = self._root
+        last_coordinate = self.k - 1
+        for index, c in enumerate(key):
+            for p in pows:
+                digit = c // p
+                c -= digit * p
+                word = cells[base + digit]
+                if word & 1:
+                    base = word >> 2
+                else:
+                    return side[word >> 2] if word else None
+            word = cells[base + c]
+            if word & 1:
+                if index == last_coordinate:
+                    return key
+                base = word >> 2
+            else:
+                return side[word >> 2] if word else None
+        raise AssertionError("unreachable: trie walk fell through")  # pragma: no cover
 
     # ------------------------------------------------------------------
     # predecessor (in-structure walk; O(d * k * h), used by updates)
@@ -590,6 +663,49 @@ class TrieStore:
         """Space in registers (Theorem 3.1 bounds this by c * |Dom| * n^eps)."""
         return self.registers.used
 
+    @builds
+    def rebind_arena(self) -> None:
+        """(Re)bind the fused walk's direct handles on the register arena.
+
+        The arena arrays grow in place, so the handles stay valid across
+        every update; construction, unpickling and a register-file buffer
+        swap (:meth:`RegisterFile.adopt_buffers`) bind them anew.
+        ``check_invariants`` asserts they alias the live buffers.
+        """
+        self._cells = self.registers._payload
+        self._side = self.registers._objects
+        self._pows_head = tuple(self.d ** (self.h - 1 - j) for j in range(self.h - 1))
+
+    # ------------------------------------------------------------------
+    # pickling: restore without __init__, then rebind the walk handles
+    # ------------------------------------------------------------------
+    @read_only
+    def __getstate__(self) -> dict[str, Any]:
+        return {
+            "n": self.n,
+            "k": self.k,
+            "eps": self.eps,
+            "d": self.d,
+            "h": self.h,
+            "depth": self.depth,
+            "registers": self.registers,
+            "root": self._root,
+            "size": self._size,
+        }
+
+    @builds
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.n = state["n"]
+        self.k = state["k"]
+        self.eps = state["eps"]
+        self.d = state["d"]
+        self.h = state["h"]
+        self.depth = state["depth"]
+        self.registers = state["registers"]
+        self._root = state["root"]
+        self._size = state["size"]
+        self.rebind_arena()
+
     # ------------------------------------------------------------------
     # invariants (test support)
     # ------------------------------------------------------------------
@@ -599,18 +715,26 @@ class TrieStore:
 
         Checks: (1) parent back-pointers are consistent; (2) every gap cell
         points to the true successor of its prefix; (3) the register count
-        equals (#arrays)*(d+1)+1; (4) every stored key is reachable.
+        equals (#arrays)*(d+1)+1; (4) every stored key is reachable; (5)
+        the fused-walk handles alias the live arena and the side table's
+        refcounts match the live cells.
         """
         keys = sorted(self._collect_keys())
         arrays = self._count_arrays()
         expected = 1 + arrays * (self.d + 1)
-        if self.registers.used != expected:
+        registers = self.registers
+        if registers.used != expected:
             raise AssertionError(
-                f"register leak: used={self.registers.used}, expected={expected}"
+                f"register leak: used={registers.used}, expected={expected}"
             )
         if len(keys) != self._size:
             raise AssertionError(f"size mismatch: {len(keys)} keys vs size={self._size}")
         self._check_node(self._root, [], keys)
+        if self._cells is not registers._payload:
+            raise AssertionError("stale fused-walk handle on the payload arena")
+        if self._side is not registers._objects:
+            raise AssertionError("stale fused-walk handle on the side table")
+        registers.check_intern_invariants(registers.used)
 
     @read_only
     def _collect_keys(self) -> list[tuple[int, ...]]:

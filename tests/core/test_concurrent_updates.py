@@ -8,8 +8,13 @@ while the main thread applies a chain of updates under the paranoid
 freeze tripwire (``repro serve --paranoid``'s guard): any stray write to
 a frozen register by the repair would raise ``FrozenWriteError`` inside
 the update, and any cross-generation leak would show up as a reader
-disagreement.  Both storage layouts are exercised explicitly — the
-arena's flat register files are the layout most sensitive to aliasing.
+disagreement — the flat register files shared between generations are
+what is most sensitive to aliasing.
+
+The old generation is served two ways: with its register words in each
+register file's own ``array`` objects (``object``), and re-homed into one
+shared read-only arena mapping (``arena``, what a pre-fork pool worker
+reads), where a stray write would also fail on the buffer itself.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.contracts.effects import freeze
-from repro.core.config import EngineConfig
 from repro.core.engine import build_index
 from repro.graphs.generators import random_planar_like_graph
+from repro.storage.shared import share_index
 
 QUERY = "exists z. E(x, z) & E(z, y)"
 THREADS = 8
@@ -50,12 +55,23 @@ def _edits(graph, count, seed):
     return edits
 
 
-@pytest.mark.parametrize("layout", ["object", "arena"])
-def test_readers_stable_while_updates_in_flight(layout):
-    graph = random_planar_like_graph(48, seed=9)
-    config = EngineConfig(layout=layout)
-    index = build_index(graph, QUERY, config=config)
+@pytest.fixture(params=["object", "arena"])
+def index(request):
+    """The old generation, its registers private or in a shared arena."""
+    index = build_index(random_planar_like_graph(48, seed=9), QUERY)
+    if request.param == "object":
+        yield index
+        return
+    arena = share_index(index, tag="readers")
+    assert arena is not None
+    try:
+        yield index
+    finally:
+        arena.close()
 
+
+def test_readers_stable_while_updates_in_flight(index):
+    graph = index.graph
     before = list(index.enumerate())
     rng = random.Random(4242)
     probes = [
@@ -99,6 +115,6 @@ def test_readers_stable_while_updates_in_flight(layout):
     assert list(index.enumerate()) == before
     # ... and the new generation is exactly what a rebuild would produce
     assert updated.version == UPDATES
-    rebuilt = build_index(updated.graph, QUERY, config=config)
+    rebuilt = build_index(updated.graph, QUERY)
     assert updated.registers() == rebuilt.registers()
     assert list(updated.enumerate()) == list(rebuilt.enumerate())

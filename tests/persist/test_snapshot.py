@@ -112,14 +112,19 @@ def test_garbage_file_is_rejected(tmp_path):
 
 def test_version_mismatch_is_rejected(tmp_path):
     graph = random_tree(25, seed=3)
-    path = tmp_path / "snap.rpx"
-    save_index(build_index(graph, "E(x, y)"), path, "fp")
+    index, _ = load_or_build(graph, "E(x, y)", cache_dir=tmp_path)
+    path = cache_path(tmp_path, index_fingerprint(graph, "E(x, y)"))
     head, _, payload = path.read_bytes().partition(b"\n")
-    header = json.loads(head)
-    header["format_version"] = FORMAT_VERSION + 1
-    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-    with pytest.raises(SnapshotVersionMismatch):
-        load_index(path)
+    for version in (FORMAT_VERSION + 1, FORMAT_VERSION - 1):
+        header = json.loads(head)
+        header["format_version"] = version
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(SnapshotVersionMismatch):
+            load_index(path)
+        # a newer or an older snapshot is never served: it is rebuilt
+        rebuilt, status = load_or_build(graph, "E(x, y)", cache_dir=tmp_path)
+        assert status == "rebuilt"
+        assert list(rebuilt.enumerate()) == list(index.enumerate())
 
 
 def test_fingerprint_mismatch_is_stale(tmp_path):

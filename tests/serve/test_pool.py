@@ -11,7 +11,6 @@ import urllib.request
 
 import pytest
 
-from repro.core.config import EngineConfig
 from repro.core.engine import build_index
 from repro.graphs.generators import FAMILIES
 from repro.persist import cache_path, index_fingerprint, save_index
@@ -94,7 +93,7 @@ def pool():
 
     with tempfile.TemporaryDirectory(prefix="repro-pool-test-") as tmp:
         graph = FAMILIES["grid"](N, seed=SEED)
-        index = build_index(graph, QUERY, config=EngineConfig(layout="arena"))
+        index = build_index(graph, QUERY)
         fingerprint = index_fingerprint(graph, QUERY)
         save_index(index, cache_path(tmp, fingerprint), fingerprint)
 

@@ -14,10 +14,9 @@ import os
 
 import pytest
 
-from repro.core.config import EngineConfig
 from repro.core.engine import build_index
 from repro.graphs.generators import grid
-from repro.storage.arena import ArenaRegisterFile
+from repro.storage.registers import RegisterFile
 from repro.storage.shared import (
     MEMFD_NAME,
     collect_arenas,
@@ -30,13 +29,13 @@ QUERY = "dist(x, y) > 2 & Blue(y)"
 
 @pytest.fixture
 def arena_index():
-    return build_index(grid(9, 9, seed=4), QUERY, config=EngineConfig(layout="arena"))
+    return build_index(grid(9, 9, seed=4), QUERY)
 
 
 def test_share_preserves_answers_and_invariants(arena_index):
     before = list(arena_index.enumerate())
     files, stores = collect_arenas(arena_index)
-    assert files, "arena layout must expose register files"
+    assert files, "an indexed query must expose register files"
     arena = share_index(arena_index, tag="test")
     try:
         assert arena is not None
@@ -62,17 +61,12 @@ def test_shared_buffers_are_readonly(arena_index):
         arena.close()
 
 
-def test_share_object_layout_is_noop():
-    index = build_index(grid(6, 6, seed=4), QUERY, config=EngineConfig(layout="object"))
-    assert share_index(index, tag="obj") is None
-
-
 def test_collect_arenas_dedupes():
-    index = build_index(grid(6, 6, seed=4), QUERY, config=EngineConfig(layout="arena"))
+    index = build_index(grid(6, 6, seed=4), QUERY)
     files, stores = collect_arenas(index)
     assert len(files) == len({id(f) for f in files})
     assert len(stores) == len({id(s) for s in stores})
-    assert all(isinstance(f, ArenaRegisterFile) for f in files)
+    assert all(isinstance(f, RegisterFile) for f in files)
 
 
 def test_touch_pages_covers_whole_mapping(arena_index):

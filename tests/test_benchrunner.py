@@ -52,28 +52,24 @@ def test_run_suite_e1_schema_and_naming():
     assert f"test_lookup[{TINY.trie_sizes[0]}]" in names
     assert f"test_init[1-{TINY.trie_sizes[0]}]" in names
     assert f"test_init[2-{TINY.trie_sizes[1]}]" in names
-    # the arena layout runs the same sweep under suffixed names
-    assert f"test_lookup_arena[{TINY.trie_sizes[0]}]" in names
-    assert f"test_init_arena[1-{TINY.trie_sizes[0]}]" in names
-    assert f"test_successor_arena[{TINY.trie_sizes[1]}]" in names
-    assert f"test_update_cycle_arena[{TINY.trie_sizes[0]}]" in names
-    arena_lookups = [
+    assert f"test_successor[{TINY.trie_sizes[1]}]" in names
+    assert f"test_update_cycle[{TINY.trie_sizes[0]}]" in names
+    lookups = [
         record
         for record in payload["benchmarks"]
-        if record["name"].startswith("test_lookup_arena[")
+        if record["name"].startswith("test_lookup[")
     ]
-    assert len(arena_lookups) == len(TINY.trie_sizes)
-    for record in arena_lookups:
-        assert record["extra_info"]["speedup_vs_object"] > 0
+    assert len(lookups) == len(TINY.trie_sizes)
+    for record in lookups:
+        assert record["extra_info"]["speedup_vs_generic"] > 0
         assert record["extra_info"]["register_ops_per_lookup"] > 0
-    arena_inits = [
+    inits = [
         record
         for record in payload["benchmarks"]
-        if record["name"].startswith("test_init_arena[")
+        if record["name"].startswith("test_init[")
     ]
-    for record in arena_inits:
+    for record in inits:
         assert record["extra_info"]["snapshot_bytes"] > 0
-        assert record["extra_info"]["snapshot_shrink_vs_object"] > 0
     for record in payload["benchmarks"]:
         # the EXPERIMENTS.md generator must be able to parse every id
         assert _PARAM_RE.search(record["name"]), record["name"]
@@ -279,8 +275,8 @@ def test_run_suite_e15_records_and_equivalence():
 def _arena_series(points):
     return [
         _fake_record(
-            name=f"test_lookup_arena[{n}]", n=n,
-            extra={"speedup_vs_object": speedup},
+            name=f"test_lookup[{n}]", n=n,
+            extra={"speedup_vs_generic": speedup},
         )
         for n, speedup in points
     ]
@@ -288,11 +284,11 @@ def _arena_series(points):
 
 def test_gate_arena_speedup_is_a_floor():
     verdicts = check_gate(_fake_payload(_arena_series([(64, 2.1), (128, 1.4)])))
-    arena = [v for v in verdicts if v["metric"] == "extra:speedup_vs_object"]
+    arena = [v for v in verdicts if v["metric"] == "extra:speedup_vs_generic"]
     assert arena and all(v["passed"] for v in arena)
 
     verdicts = check_gate(_fake_payload(_arena_series([(64, 2.1), (128, 0.9)])))
-    arena = [v for v in verdicts if v["metric"] == "extra:speedup_vs_object"]
+    arena = [v for v in verdicts if v["metric"] == "extra:speedup_vs_generic"]
     assert arena and not any(v["passed"] for v in arena)
 
 

@@ -310,3 +310,13 @@ def test_serve_trace_flags_are_validated(capsys):
     assert "--trace-buffer" in capsys.readouterr().err
     assert main(["serve", "--watchdog-multiple", "-2"]) == 2
     assert "--watchdog-multiple" in capsys.readouterr().err
+
+
+def test_profile_accepts_the_build_methods(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    assert main(["generate", "grid", "16", "-o", str(path), "--seed", "1"]) == 0
+    code = main(
+        ["profile", str(path), "E(x, y)", "--method", "naive", "--enumerate", "5"]
+    )
+    assert code == 0
+    assert "samples" in capsys.readouterr().out
