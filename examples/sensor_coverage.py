@@ -9,7 +9,9 @@ operations team wants, for a rolling report:
    reproduced in :mod:`repro.core.counting`), computed without
    materializing the quadratic pair set;
 2. the total number of (gateway, far-detector) pairs, same machinery;
-3. a streamed sample of the first few such pairs (Corollary 2.5).
+3. a streamed sample of the first few such pairs (Corollary 2.5);
+4. the same total after a detector fails — a color flip, repaired
+   ball-locally into a new index version.
 
 Run:  python examples/sensor_coverage.py
 """
@@ -18,9 +20,8 @@ import random
 import time
 
 from repro.core.counting import CountingIndex
+from repro.core.engine import build_index
 from repro.graphs.generators import hex_grid
-from repro.logic.parser import parse_formula
-from repro.logic.syntax import Var
 
 
 def main() -> None:
@@ -35,12 +36,11 @@ def main() -> None:
         f"{len(gateways)} gateways"
     )
 
-    query = parse_formula("Gateway(x) & Detector(y) & dist(x, y) > 2")
-    x, y = Var("x"), Var("y")
     tick = time.perf_counter()
-    counting = CountingIndex(mesh, query, (x, y))
+    index = build_index(mesh, "Gateway(x) & Detector(y) & dist(x, y) > 2")
     built = time.perf_counter() - tick
-    print(f"counting index built in {built * 1000:.0f} ms ({counting.method})")
+    counting = CountingIndex(index)
+    print(f"index built in {built * 1000:.0f} ms (counting: {counting.method})")
 
     # (2) total count, no enumeration
     tick = time.perf_counter()
@@ -59,12 +59,14 @@ def main() -> None:
 
     # (3) stream a few witness pairs
     print("sample pairs (lexicographic stream):")
-    from repro.core.enumeration import enumerate_solutions
-
-    for i, pair in enumerate(enumerate_solutions(counting.index)):
+    for pair in index.enumerate_page(limit=5):
         print(f"  {pair}")
-        if i >= 4:
-            break
+
+    # (4) a detector fails: flip its color off, count the new version
+    failed = detectors[0]
+    repaired = index.remove_color("Detector", failed)
+    print(f"after detector {failed} fails (version {repaired.version}): "
+          f"{repaired.count()} far pairs")
 
 
 if __name__ == "__main__":

@@ -131,9 +131,10 @@ CLAIMS = {
         "enumerate-and-count n^{enum_exp:.2f} on a quadratic result set.",
     ),
     "bench_dynamic": (
-        "**Section 6 (open problem; implemented slice).** Unary queries "
-        "under color updates: ball-sized update cost.",
-        "Per-update-batch cost flatness across 16x n: {update_flat:.2f}x, "
+        "**Section 6 (open problem; implemented slice).** Color flips "
+        "repaired ball-locally through the versioned index; the final "
+        "generation is register-equal to a rebuild (gated).",
+        "Per-flip-chain cost flatness across the n sweep: {update_flat:.2f}x, "
         "vs rebuild growing as n^{rebuild_exp:.2f}.",
     ),
     "bench_ablation": (

@@ -655,17 +655,15 @@ class BenchSuite:
     # -- E13: counting without enumerating -----------------------------
 
     def run_e13(self) -> None:
-        from repro.core.counting import CountingIndex
+        """``QueryIndex.count()`` (closed form) vs enumerate-and-count;
+        ``count_equal`` (1.0/0.0) is the gated differential check."""
         from repro.core.engine import build_index
-        from repro.logic.parser import parse_formula
-        from repro.logic.syntax import Var
 
-        phi = parse_formula(_QUERY)
         for n in self.profile.counting_sizes:
             g = self.graph("grid", n)
 
             def closed_form(g: Any = g) -> int:
-                return CountingIndex(g, phi, (Var("x"), Var("y"))).count()
+                return build_index(g, _QUERY).count()
 
             stats, count = _timed(closed_form, 1)
             self.record(
@@ -674,47 +672,55 @@ class BenchSuite:
             )
 
             def enumerate_count(g: Any = g) -> int:
-                return build_index(g, _QUERY).count()
+                return sum(1 for _ in build_index(g, _QUERY).enumerate())
 
-            stats, count = _timed(enumerate_count, 1)
+            stats, enumerated = _timed(enumerate_count, 1)
             self.record(
                 "E13", "bench_counting", f"test_enumerate_count_baseline[{n}]",
-                {"n": n}, stats, {"solutions": count},
+                {"n": n}, stats,
+                {"solutions": enumerated, "count_equal": float(enumerated == count)},
             )
 
-    # -- E14: dynamic color updates ------------------------------------
+    # -- E14: color flips through the versioned index --------------------
 
     def run_e14(self) -> None:
-        from repro.core.dynamic import DynamicUnaryIndex
-        from repro.logic.parser import parse_formula
-        from repro.logic.syntax import Var
+        """A color-flip chain replayed from the base index each round;
+        ``register_equal`` (1.0/0.0) gates it against a rebuild."""
+        from repro.core.engine import build_index
 
         query = "exists y. E(x, y) & Hot(y)"
-        phi = parse_formula(query)
         p = self.profile
         for n in p.dynamic_sizes:
-            g = self.graph("planar", n).copy()
-            index = DynamicUnaryIndex(g, phi, Var("x"))
+            g = self.graph("planar", n)
+            base = build_index(g, query)
             rng = random.Random(2)
             updates = [(rng.randrange(n), rng.random() < 0.5) for _ in range(64)]
 
-            def apply_updates(index: Any = index, updates: list = updates) -> None:
+            def apply_updates(base: Any = base, updates: list = updates) -> Any:
+                index = base
                 for v, add in updates:
                     if add:
-                        index.add_color("Hot", v)
+                        index = index.add_color("Hot", v)
                     else:
-                        index.remove_color("Hot", v)
+                        index = index.remove_color("Hot", v)
+                return index
 
-            stats, _ = _timed(apply_updates, p.repeats, warmup=True)
+            stats, updated = _timed(apply_updates, p.repeats, warmup=True)
+            rebuilt = build_index(updated.graph, query)
             self.record(
                 "E14", "bench_dynamic", f"test_update[{n}]", {"n": n}, stats,
-                {"updates_per_round": len(updates)},
+                {
+                    "updates_per_round": len(updates),
+                    "register_equal": float(
+                        updated.registers() == rebuilt.registers()
+                    ),
+                },
             )
 
             g2 = self.graph("planar", n).copy()
             rng = random.Random(2)
             g2.set_color("Hot", [v for v in g2.vertices() if rng.random() < 0.2])
-            stats, _ = _timed(lambda g2=g2: DynamicUnaryIndex(g2, phi, Var("x")), 1)
+            stats, _ = _timed(lambda g2=g2: build_index(g2, query), 1)
             self.record(
                 "E14", "bench_dynamic", f"test_rebuild_baseline[{n}]", {"n": n},
                 stats, {},
@@ -1375,6 +1381,12 @@ GATE_RULES = (
              "Corollary 2.4: O(1) membership tests"),
     GateRule("E9", "bench_delay", "test_delay_profile[", "extra:delay_p95_us",
              "Corollary 2.5: flat p95 enumeration delay"),
+    GateRule("E13", "bench_counting", "test_", "extra:count_equal",
+             "[18]: the closed-form count equals enumerate-and-count",
+             floor=1.0, min_points=1),
+    GateRule("E14", "bench_dynamic", "test_", "extra:register_equal",
+             "Section 6: color-flip registers equal a from-scratch rebuild",
+             floor=1.0, min_points=1),
     GateRule("E15", "bench_persist", "test_warm_vs_cold[",
              "extra:warm_speedup_vs_cold",
              "Persistence: snapshot load >= 5x faster than cold preprocessing"),

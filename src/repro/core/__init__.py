@@ -19,7 +19,6 @@ Layers, bottom to top:
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.counting import CountingIndex, count_solutions
 from repro.core.distance_index import DistanceIndex
-from repro.core.dynamic import DynamicUnaryIndex
 from repro.core.engine import QueryIndex, build_index
 from repro.core.enumeration import enumerate_solutions, enumerate_with_delays
 from repro.core.last_coordinate import LastCoordinateIndex
@@ -33,7 +32,6 @@ __all__ = [
     "EngineConfig",
     "CountingIndex",
     "count_solutions",
-    "DynamicUnaryIndex",
     "DistanceIndex",
     "QueryIndex",
     "build_index",

@@ -4,8 +4,10 @@ The paper's introduction cites Grohe–Schweikardt [18]: over nowhere
 dense classes, ``|q(G)|`` is computable in pseudo-linear time — i.e.
 *without* enumerating the (possibly quadratic) result set.
 
-For binary queries we reproduce that claim on top of the Lemma 5.2
-machinery.  Distance types partition the tuples, so
+:class:`CountingIndex` is a view over a built (or repaired)
+:class:`~repro.core.engine.QueryIndex`'s tower.  For binary queries it
+reproduces [18]'s claim on the Lemma 5.2 machinery.  Distance types
+partition the tuples, so
 
     ``|q(G)| = Σ_a ( close(a) + far(a) )``
 
@@ -23,62 +25,74 @@ with, per vertex ``a``:
 
 Total work: one bag-sized computation per vertex plus one kernel scan
 per (live-subset, bag) — pseudo-linear on sparse inputs, and crucially
-*independent of* ``|q(G)|``.  Higher arities fall back to enumeration
-(the module reports which path was taken).
+*independent of* ``|q(G)|``.  Arity <= 1 and the naive fallback count
+stored solutions; only arity >= 3 enumerates (``method`` says which).
+The caches live on the view, not on the frozen index, so nothing cached
+crosses an update.
 """
 
 from __future__ import annotations
 
-from repro.contracts import amortized, pseudo_linear
+from bisect import bisect_left
+from typing import TYPE_CHECKING
+
+from repro.baselines.naive import NaiveIndex
+from repro.contracts import amortized
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
-from repro.core.enumeration import enumerate_solutions
-from repro.core.next_solution import NextSolutionIndex
 from repro.graphs.colored_graph import ColoredGraph
 from repro.logic.syntax import Formula, Top, Var
 
+if TYPE_CHECKING:
+    from repro.core.engine import QueryIndex
+
 
 class CountingIndex:
-    """``|q(G)|`` and per-prefix counts, without materializing ``q(G)``.
-
-    Parameters mirror :class:`~repro.core.next_solution.NextSolutionIndex`;
-    construction performs Theorem 2.3's preprocessing once and reuses it.
+    """``|q(G)|`` and per-prefix counts of a built index, without
+    materializing ``q(G)``.  ``method`` is ``"closed-form"``, ``"stored"``
+    or ``"enumerate"``.
     """
 
-    @pseudo_linear(note="Theorem 2.3 preprocessing, shared with enumeration")
-    def __init__(
-        self,
-        graph: ColoredGraph,
-        phi: Formula,
-        free_order: tuple[Var, ...],
-        config: EngineConfig = DEFAULT_CONFIG,
-    ) -> None:
-        self.graph = graph
-        self.free_order = tuple(free_order)
-        self.k = len(self.free_order)
-        self.index = NextSolutionIndex(graph, phi, self.free_order, config)
-        self.method = "closed-form" if self.k == 2 else "enumerate"
-        if self.k == 2:
-            self._last = self.index.last
+    def __init__(self, index: QueryIndex) -> None:
+        self.index = index
+        self.graph = index.graph
+        self.k = index.arity
+        impl = index._impl
+        if self.k <= 1 or isinstance(impl, NaiveIndex):
+            self.method = "stored"
+        elif self.k == 2:
+            self.method = "closed-form"
+            self._last = impl.last
             self._union_l_cache: dict[frozenset[int], list[int]] = {}
             self._kernel_intersection_cache: dict[tuple[frozenset[int], int], int] = {}
             self._column_cache: dict[int, int] = {}
+        else:
+            self.method = "enumerate"
 
     # ------------------------------------------------------------------
     def count(self) -> int:
         """``|q(G)|``."""
+        impl = self.index._impl
         if self.k == 0:
-            return 1 if self.index.test(()) else 0
+            return int(self.index.test(()))
+        if isinstance(impl, NaiveIndex):
+            return len(impl)
         if self.k == 1:
-            return len(self.index._unary)
+            return len(impl._unary)
         if self.k == 2:
             return sum(self.count_suffixes(a) for a in self.graph.vertices())
-        return sum(1 for _ in enumerate_solutions(self.index))
+        return sum(1 for _ in self.index.enumerate())
 
     @amortized("O(1)", note="bag-sized work on first query per vertex, then cached")
     def count_suffixes(self, a: int) -> int:
-        """``|{b : (a, b) ∈ q(G)}|`` — constant amortized time for k = 2."""
+        """``|{b : (a, b) ∈ q(G)}|`` — constant amortized time for k = 2;
+        0 for ``a`` outside ``[0, n)``, as :meth:`QueryIndex.test` is total."""
         if self.k != 2:
             raise ValueError("count_suffixes requires a binary query")
+        if not 0 <= a < self.graph.n:
+            return 0
+        if self.method == "stored":
+            solutions = self.index._impl.solutions
+            return bisect_left(solutions, (a + 1,)) - bisect_left(solutions, (a,))
         cached = self._column_cache.get(a)
         if cached is None:
             cached = self._count_close(a) + self._count_far(a)
@@ -176,5 +190,7 @@ def count_solutions(
     free_order: tuple[Var, ...],
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> int:
-    """One-shot counting (builds a :class:`CountingIndex` and discards it)."""
-    return CountingIndex(graph, phi, free_order, config).count()
+    """One-shot counting: build the index, count, discard it."""
+    from repro.core.engine import build_index
+
+    return build_index(graph, phi, free_order, config=config).count()

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 from repro.baselines.naive import NaiveIndex
 from repro.contracts import constant_time, delay, frozen_after_build, pseudo_linear, read_only
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
+from repro.core.counting import CountingIndex
 from repro.core.enumeration import enumerate_solutions
 from repro.core.next_solution import NextSolutionIndex, increment_tuple
 from repro.core.normal_form import DecompositionError
@@ -98,7 +99,7 @@ class QueryIndex:
     @read_only
     def version(self) -> int:
         """Monotone update generation: 0 when freshly built, +1 per applied
-        :meth:`insert_edge` / :meth:`delete_edge`.  Two indexes answer for
+        edge edit or color flip.  Two indexes answer for
         the same graph state iff their :attr:`fingerprint` pairs match."""
         return self._version
 
@@ -248,14 +249,15 @@ class QueryIndex:
 
     @read_only
     def count(self) -> int:
-        """|phi(G)| by full enumeration (the paper cites [18] for faster).
+        """``|phi(G)|``, without enumerating ``phi(G)`` wherever the tower allows.
 
-        The naive fallback already materialized the result set, so its
-        count is a stored length, not a re-enumeration.
+        Through a :class:`~repro.core.counting.CountingIndex` view of this
+        index: the Grohe–Schweikardt-style closed form at arity 2
+        (pseudo-linear, independent of ``|phi(G)|``), the stored solution
+        count at arity 1 and on the naive fallback, one ``test(())`` at
+        arity 0.  Only arity >= 3 still enumerates.
         """
-        if isinstance(self._impl, NaiveIndex):
-            return len(self._impl)
-        return sum(1 for _ in self.enumerate())
+        return CountingIndex(self).count()
 
     @read_only
     def stats(self) -> dict:
@@ -322,7 +324,7 @@ class QueryIndex:
         on self-loops or already-present edges, ``IndexError`` on
         out-of-range vertices.
         """
-        return self._with_update(u, v, inserted=True)
+        return self._with_update(self.graph.with_edge(u, v), u, v, "insert")
 
     @pseudo_linear(note="ball-local repair (repro.core.repair); self untouched")
     @read_only
@@ -332,18 +334,52 @@ class QueryIndex:
         Same persistent-update contract as :meth:`insert_edge`.  Raises
         ``ValueError`` when the edge is absent.
         """
-        return self._with_update(u, v, inserted=False)
+        return self._with_update(self.graph.without_edge(u, v), u, v, "delete")
+
+    @pseudo_linear(note="ball-local repair (repro.core.repair); self untouched")
+    @read_only
+    def add_color(self, name: str, v: int) -> "QueryIndex":
+        """A new index where ``v`` carries color ``name``, at :attr:`version` + 1.
+
+        Same persistent-update contract as :meth:`insert_edge`; a color
+        flip moves no edge, so only the cover bags containing ``v`` (and,
+        for unary queries, the locality ball of ``v``) are repaired.  A
+        flip that changes nothing returns ``self``.  Raises
+        ``IndexError`` on an out-of-range vertex.
+
+        >>> from repro.graphs.generators import path
+        >>> index = build_index(path(8, palette=()), "exists y. E(x, y) & Hot(y)")
+        >>> hot = index.add_color("Hot", 4)
+        >>> list(hot.enumerate()), hot.version
+        ([(3,), (5,)], 1)
+        >>> list(index.enumerate()), hot.add_color("Hot", 4) is hot
+        ([], True)
+        """
+        if self.graph.has_color(v, name):
+            return self
+        return self._with_update(self.graph.with_color(name, v), v, v, "color")
+
+    @pseudo_linear(note="ball-local repair (repro.core.repair); self untouched")
+    @read_only
+    def remove_color(self, name: str, v: int) -> "QueryIndex":
+        """A new index where ``v`` no longer carries color ``name``.
+
+        The inverse of :meth:`add_color`, with the same contract: a flip
+        that changes nothing returns ``self``.
+        """
+        if not self.graph.has_color(v, name):
+            return self
+        return self._with_update(self.graph.without_color(name, v), v, v, "color")
 
     @pseudo_linear(note="delegates to the ball-local repair entry point")
     @read_only
-    def _with_update(self, u: int, v: int, inserted: bool) -> "QueryIndex":
+    def _with_update(
+        self, new_graph: ColoredGraph, u: int, v: int, kind: str
+    ) -> "QueryIndex":
         from repro.core.repair import repaired_impl
 
-        new_graph = (
-            self.graph.with_edge(u, v) if inserted else self.graph.without_edge(u, v)
-        )
         start = time.perf_counter()
-        impl = repaired_impl(self.graph, new_graph, self._impl, u, v, inserted)
+        impl = repaired_impl(self.graph, new_graph, self._impl, u, v, kind)
         elapsed = time.perf_counter() - start
         _metrics_observe("engine.update_seconds", elapsed)
         return replace(

@@ -1,20 +1,24 @@
-"""Incremental index repair under edge updates (the Section 6 open problem).
+"""Incremental index repair under graph updates (the Section 6 open problem).
 
-The paper's conclusion asks for index structures that survive *updates*;
-:mod:`repro.core.dynamic` answered the color-update slice.  This module
-takes the next step — **edge** inserts and deletes — by repairing the
-whole Theorem 5.1 tower ball-locally instead of rebuilding it:
+The paper's conclusion asks for index structures that survive *updates*.
+This module repairs the whole Theorem 5.1 tower **ball-locally** instead
+of rebuilding it, for both kinds of update: **edge** inserts and deletes,
+and **color** flips (a vertex gains or loses a color):
 
 * updates are **persistent**: :func:`repaired_impl` returns a *new*
   implementation tower sharing every untouched register with the old
   one, and the old tower is never mutated.  Concurrent readers keep
   answering against their generation; the engine swaps generations
-  atomically (see :meth:`repro.core.engine.QueryIndex.insert_edge`);
-* damage is localized by the same Removal-Lemma argument the dynamic
-  index uses: an edge on ``{u, v}`` can only change the ``r``-ball of
-  vertices in ``N_r({u, v})`` (measured in the old *and* new graph), so
-  only cover bags, kernels, distance entries and bag solvers whose
-  neighborhoods intersect that ball are recomputed;
+  atomically (see :meth:`repro.core.engine.QueryIndex.insert_edge` and
+  :meth:`~repro.core.engine.QueryIndex.add_color`);
+* damage is localized by the Removal-Lemma argument: an edge on
+  ``{u, v}`` can only change the ``r``-ball of vertices in
+  ``N_r({u, v})`` (measured in the old *and* new graph), so only cover
+  bags, kernels, distance entries and bag solvers whose neighborhoods
+  intersect that ball are recomputed.  A color flip at ``v`` changes no
+  ball at all — only what the vertices of ``N_r(v)`` see inside theirs —
+  so distances, cover and kernels carry over unchanged and the damaged
+  bags are exactly those containing ``v``;
 * the arity-1 register file is repaired as a delta **overlay**
   (:class:`PatchedUnaryIndex`) over the frozen Theorem 3.1 store, so the
   per-update cost is ball-sized plus the delta bookkeeping — sublinear
@@ -28,13 +32,14 @@ whole Theorem 5.1 tower ball-locally instead of rebuilding it:
   stable) and bag membership grows monotonically: an inserted edge makes
   every touched vertex's canonical bag absorb its grown ball, a deleted
   edge leaves bags as sound supersets, so the Definition 4.3 invariant
-  ``N_radius(a) ⊆ X(a)`` survives arbitrary update chains and
-  kernels/solvers are recomputed for damaged bags only.  The Case-I
-  target lists and skip pointers are then patched per cached local
-  formula.  The k = 2 prefix register is re-derived by ``n`` O(1)
-  probes of the repaired Lemma 5.2 oracle — exactly how it was first
-  built, so repaired and rebuilt indexes are register-level equal
-  (:func:`register_dump` is the differential oracle's view).
+  ``N_radius(a) ⊆ X(a)`` survives arbitrary update chains.  Both update
+  kinds then share one damaged-bag tail: solvers are recomputed for
+  damaged bags only, the Case-I target lists and skip pointers are
+  patched per cached local formula, and the k = 2 prefix register is
+  re-derived by ``n`` O(1) probes of the repaired Lemma 5.2 oracle —
+  exactly how it was first built, so repaired and rebuilt indexes are
+  register-level equal (:func:`register_dump` is the differential
+  oracle's view).
 
 Escalations (documented, still correct): arity-0 sentences are
 re-model-checked; unary queries without a certified locality radius are
@@ -244,7 +249,8 @@ def _touched_ball(
     The Removal-Lemma localization: a path gained or lost by toggling
     edge ``{u, v}`` passes through ``u`` and ``v``, so only vertices
     within ``radius`` of the edge — in the old *or* the new graph —
-    can see a different ball.
+    can see a different ball.  A color flip at ``v`` passes ``u == v``:
+    the balls that contain ``v`` are the ones that see the flip.
     """
     touched = set(bounded_bfs(old_graph, [u, v], radius))
     touched.update(bounded_bfs(new_graph, [u, v], radius))
@@ -255,7 +261,7 @@ def _holds_on_ball(
     graph: ColoredGraph, psi, var, vertex: int, radius: int
 ) -> bool:
     """Evaluate the normalized unary query on the locality ball of
-    ``vertex`` (the ``DynamicUnaryIndex._holds`` pattern: ball-sized)."""
+    ``vertex`` (ball-sized: the ball is compactly relabeled first)."""
     ball = bounded_bfs(graph, [vertex], radius)
     local, original = graph.relabeled_subgraph(ball)
     local_v = original.index(vertex)
@@ -395,9 +401,13 @@ def _repair_last(
     old: LastCoordinateIndex,
     u: int,
     v: int,
-    inserted: bool,
+    kind: str,
 ) -> LastCoordinateIndex:
-    """Repair one Lemma 5.2 level onto the new graph (old level untouched)."""
+    """Repair one Lemma 5.2 level onto the new graph (old level untouched).
+
+    The update kinds differ only in their damage; the damaged bags then
+    share one repair tail (solvers, Case-I structures, sentences).
+    """
     new = object.__new__(LastCoordinateIndex)
     new.graph = new_graph
     new.phi = old.phi
@@ -407,50 +417,61 @@ def _repair_last(
     new.decomp = old.decomp  # pure syntax: graph-independent
     new.r = old.r
 
-    # Step 2 repair: exact balls for every vertex the update touched
-    touched = _touched_ball(old_graph, new_graph, u, v, old.r)
-    overlay = {a: bounded_bfs(new_graph, [a], old.r) for a in touched}
-    new.dist = PatchedDistanceIndex(old.dist, new_graph, overlay, old.r)
+    if kind == "color":
+        # a color flip moves no edge: distances, cover and kernels carry
+        # over, and only a bag containing v sees the flip in G[X]
+        new.dist, new.cover, new.kernels = old.dist, old.cover, old.kernels
+        damaged = {
+            bag_id
+            for bag_id, members in enumerate(old.cover._member_sets)
+            if v in members
+        }
+    else:
+        # Step 2 repair: exact balls for every vertex the update touched
+        touched = _touched_ball(old_graph, new_graph, u, v, old.r)
+        overlay = {a: bounded_bfs(new_graph, [a], old.r) for a in touched}
+        new.dist = PatchedDistanceIndex(old.dist, new_graph, overlay, old.r)
 
-    # Step 3 repair: the cover invariant — N_radius(a) inside a's
-    # canonical bag, for every a — must survive the update.  Deletions
-    # only shrink balls, so unchanged bags stay sound supersets.
-    # Insertions grow balls, so every vertex whose cover-radius ball the
-    # edge touched gets its canonical bag *absorbed up* to the grown
-    # ball.  Bags are monotone (they only ever gain members): that keeps
-    # every assigned vertex a member of its own bag across arbitrary
-    # update chains, which is what keeps carried-over solver relabelings
-    # total and the Case-I/Case-II locality arguments sound.
-    damaged_members: dict[int, list[int]] = {}
-    if inserted:
-        rc = old.cover.radius
-        grown: dict[int, set[int]] = {}
-        for t in _touched_ball(old_graph, new_graph, u, v, rc):
-            bag_id = old.cover.assignment[t]
-            members = old.cover._member_sets[bag_id]
-            extra = [
-                b for b in bounded_bfs(new_graph, [t], rc) if b not in members
-            ]
-            if extra:
-                grown.setdefault(bag_id, set()).update(extra)
-        for bag_id, extra in grown.items():
-            damaged_members[bag_id] = sorted(extra.union(old.cover.bags[bag_id]))
-    new.cover = _patched_cover(old.cover, new_graph, damaged_members)
+        # Step 3 repair: the cover invariant — N_radius(a) inside a's
+        # canonical bag, for every a — must survive the update.  Deletions
+        # only shrink balls, so unchanged bags stay sound supersets.
+        # Insertions grow balls, so every vertex whose cover-radius ball
+        # the edge touched gets its canonical bag *absorbed up* to the
+        # grown ball.  Bags are monotone (they only ever gain members):
+        # that keeps every assigned vertex a member of its own bag across
+        # arbitrary update chains, which is what keeps carried-over solver
+        # relabelings total and the Case-I/Case-II locality arguments sound.
+        damaged_members: dict[int, list[int]] = {}
+        if kind == "insert":
+            rc = old.cover.radius
+            grown: dict[int, set[int]] = {}
+            for t in _touched_ball(old_graph, new_graph, u, v, rc):
+                bag_id = old.cover.assignment[t]
+                members = old.cover._member_sets[bag_id]
+                extra = [
+                    b for b in bounded_bfs(new_graph, [t], rc) if b not in members
+                ]
+                if extra:
+                    grown.setdefault(bag_id, set()).update(extra)
+            for bag_id, extra in grown.items():
+                damaged_members[bag_id] = sorted(extra.union(old.cover.bags[bag_id]))
+        new.cover = _patched_cover(old.cover, new_graph, damaged_members)
 
-    # a bag is damaged when its membership changed or any member's r-ball
-    # did; stale superset members can sit arbitrarily far from their
-    # bag's center after earlier deletes, so membership itself — not
-    # center distance — is the damage test (one ball-sized disjointness
-    # probe per bag, the same per-bag scan the cover build already does)
-    damaged = set(damaged_members)
-    for bag_id, members in enumerate(new.cover._member_sets):
-        if bag_id not in damaged and not members.isdisjoint(touched):
-            damaged.add(bag_id)
+        # a bag is damaged when its membership changed or any member's
+        # r-ball did; stale superset members can sit arbitrarily far from
+        # their bag's center after earlier deletes, so membership itself —
+        # not center distance — is the damage test (one ball-sized
+        # disjointness probe per bag, the same per-bag scan the cover
+        # build already does)
+        damaged = set(damaged_members)
+        for bag_id, members in enumerate(new.cover._member_sets):
+            if bag_id not in damaged and not members.isdisjoint(touched):
+                damaged.add(bag_id)
 
-    kernels = list(old.kernels)
-    for bag_id in damaged:
-        kernels[bag_id] = kernel_of_bag(new_graph, new.cover.bags[bag_id], old.r)
-    new.kernels = kernels
+        kernels = list(old.kernels)
+        for bag_id in damaged:
+            kernels[bag_id] = kernel_of_bag(new_graph, new.cover.bags[bag_id], old.r)
+        new.kernels = kernels
 
     # solvers of undamaged bags see an unchanged induced subgraph + kernel
     # color, so their memoized columns carry over register-identically
@@ -480,7 +501,7 @@ def _repair_next(
     node: NextSolutionIndex,
     u: int,
     v: int,
-    inserted: bool,
+    kind: str,
 ) -> NextSolutionIndex:
     """Repair one Theorem 5.1 level (and, recursively, its prefix tower)."""
     config = node.config
@@ -509,7 +530,7 @@ def _repair_next(
             config.eps,
         )
         return new
-    new.last = _repair_last(old_graph, new_graph, node.last, u, v, inserted)
+    new.last = _repair_last(old_graph, new_graph, node.last, u, v, kind)
     if node.k == 2:
         # exactly how the register was first derived: n O(1) oracle probes
         solutions = [
@@ -527,13 +548,13 @@ def _repair_next(
         return new
     prefix = node._prefix
     if isinstance(prefix, NextSolutionIndex):
-        new._prefix = _repair_next(old_graph, new_graph, prefix, u, v, inserted)
+        new._prefix = _repair_next(old_graph, new_graph, prefix, u, v, kind)
     elif isinstance(prefix, RelaxedPrefixIndex):
         relaxed = object.__new__(RelaxedPrefixIndex)
         relaxed._oracle = new.last
         relaxed._n = new_graph.n
         relaxed._inner = _repair_next(
-            old_graph, new_graph, prefix._inner, u, v, inserted
+            old_graph, new_graph, prefix._inner, u, v, kind
         )
         new._prefix = relaxed
     else:
@@ -552,23 +573,23 @@ def repaired_impl(
     impl: object,
     u: int,
     v: int,
-    inserted: bool,
+    kind: str,
 ) -> object:
     """A new implementation tower for ``new_graph``; ``impl`` is untouched.
 
-    The explicit :func:`build_phase` makes the repair a legitimate
+    ``kind`` is the update that turned ``old_graph`` into ``new_graph``:
+    ``"insert"`` or ``"delete"`` of edge ``{u, v}``, or ``"color"`` for
+    a color flip at ``u == v``.  The explicit :func:`build_phase` makes the repair a legitimate
     re-entry into the build phase under the runtime freeze tripwire:
     every structure assembled here is a *new* generation — old-generation
     readers race against nothing.
     """
-    with build_phase(), _trace_span(
-        "repair.apply", inserted=inserted, u=u, v=v
-    ):
+    with build_phase(), _trace_span("repair.apply", kind=kind, u=u, v=v):
         if isinstance(impl, NaiveIndex):
             # escalation: the baseline has no locality to exploit
             return NaiveIndex(new_graph, impl.phi, impl.free_order)
         if isinstance(impl, NextSolutionIndex):
-            return _repair_next(old_graph, new_graph, impl, u, v, inserted)
+            return _repair_next(old_graph, new_graph, impl, u, v, kind)
         raise TypeError(
             f"cannot repair index implementation {type(impl).__name__}"
         )

@@ -146,14 +146,10 @@ class ColoredGraph:
             raise ValueError(f"self-loop on vertex {u} not allowed")
         if v in self._adj[u]:
             raise ValueError(f"edge ({u}, {v}) already present")
-        out = ColoredGraph.__new__(ColoredGraph)
-        out._n = self._n
-        out._adj = list(self._adj)
-        out._adj[u] = self._adj[u] | {v}
-        out._adj[v] = self._adj[v] | {u}
-        out._edge_count = self._edge_count + 1
-        out._colors = dict(self._colors)
-        return out
+        adj = list(self._adj)
+        adj[u] = self._adj[u] | {v}
+        adj[v] = self._adj[v] | {u}
+        return self._shared(adj, self._edge_count + 1, dict(self._colors))
 
     def without_edge(self, u: int, v: int) -> "ColoredGraph":
         """A structurally shared copy with edge ``{u, v}`` removed.
@@ -165,13 +161,45 @@ class ColoredGraph:
         self._check_vertex(v)
         if v not in self._adj[u]:
             raise ValueError(f"edge ({u}, {v}) not present")
+        adj = list(self._adj)
+        adj[u] = self._adj[u] - {v}
+        adj[v] = self._adj[v] - {u}
+        return self._shared(adj, self._edge_count - 1, dict(self._colors))
+
+    def with_color(self, name: str, v: int) -> "ColoredGraph":
+        """A structurally shared copy with ``v`` added to color ``name``.
+
+        The adjacency and every other color's member set are shared with
+        ``self``; only the member set of ``name`` is fresh.  Same sharing
+        contract as :meth:`with_edge`: treat the result as immutable.
+
+        >>> g = ColoredGraph(3, [(0, 1)], colors={"B": [2]})
+        >>> sorted(g.with_color("B", 0).color("B")), sorted(g.color("B"))
+        ([0, 2], [2])
+        """
+        self._check_vertex(v)
+        colors = dict(self._colors)
+        colors[name] = self._colors.get(name, set()) | {v}
+        return self._shared(self._adj, self._edge_count, colors)
+
+    def without_color(self, name: str, v: int) -> "ColoredGraph":
+        """A structurally shared copy with ``v`` removed from color ``name``.
+
+        Same sharing contract as :meth:`with_color`.
+        """
+        self._check_vertex(v)
+        colors = dict(self._colors)
+        colors[name] = self._colors.get(name, set()) - {v}
+        return self._shared(self._adj, self._edge_count, colors)
+
+    def _shared(
+        self, adj: list[set[int]], edge_count: int, colors: dict[str, set[int]]
+    ) -> "ColoredGraph":
         out = ColoredGraph.__new__(ColoredGraph)
         out._n = self._n
-        out._adj = list(self._adj)
-        out._adj[u] = self._adj[u] - {v}
-        out._adj[v] = self._adj[v] - {u}
-        out._edge_count = self._edge_count - 1
-        out._colors = dict(self._colors)
+        out._adj = adj
+        out._edge_count = edge_count
+        out._colors = colors
         return out
 
     def set_color(self, name: str, members: Iterable[int]) -> None:
@@ -185,13 +213,6 @@ class ColoredGraph:
         """Add ``v`` to color ``name`` (creating the color if needed)."""
         self._check_vertex(v)
         self._colors.setdefault(name, set()).add(v)
-
-    def discard_from_color(self, name: str, v: int) -> None:
-        """Remove ``v`` from color ``name`` (no-op when absent).  O(1)."""
-        self._check_vertex(v)
-        members = self._colors.get(name)
-        if members is not None:
-            members.discard(v)
 
     # ------------------------------------------------------------------
     # colors
@@ -249,7 +270,7 @@ class ColoredGraph:
                     sub.add_edge(i, j)
         # collect colors per member vertex (O(|B| * #colors)), not by
         # scanning whole color extensions (O(n)) — subgraph extraction must
-        # stay ball-sized for the dynamic index's update bound
+        # stay ball-sized for ball-local update repair
         inside: dict[str, list[int]] = {}
         for v in original:
             for name, members in self._colors.items():

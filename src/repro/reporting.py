@@ -47,7 +47,7 @@ EXPERIMENTS = {
     "bench_db_reduction": ("E11", "Relational reduction is linear (Lemma 2.2)"),
     "bench_crossover": ("E12", "Index vs materialize-everything crossover"),
     "bench_counting": ("E13", "Counting without enumerating ([18])"),
-    "bench_dynamic": ("E14", "Color updates in ball-sized time (Sec. 6 direction)"),
+    "bench_dynamic": ("E14", "Color flips through the versioned index (Sec. 6 direction)"),
     "bench_ablation": ("EA", "Ablations of the engineering knobs"),
 }
 

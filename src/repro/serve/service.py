@@ -384,7 +384,7 @@ class QueryService:
         return {"results": results, "index": meta}
 
     def handle_count(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """|phi(G)| (one full enumeration on the indexed path)."""
+        """|phi(G)| via ``QueryIndex.count`` (enumerates only at arity >= 3)."""
         index, meta = self._index_for(payload)
         return {"count": index.count(), "index": meta}
 

@@ -214,20 +214,18 @@ class TestRuntimeFreeze:
                 index.graph = graph  # explicit build phases may mutate
 
     def test_dynamic_updates_survive_paranoid_mode(self, graph):
-        from repro.core.dynamic import DynamicUnaryIndex
-        from repro.logic.parser import parse_formula
-        from repro.logic.syntax import Var
+        from repro.core.engine import build_index
 
-        index = DynamicUnaryIndex(
-            graph, parse_formula("exists y. E(x, y) & Cold(y)"), Var("x")
-        )
+        index = build_index(graph, "exists y. E(x, y) & Cold(y)")
         with freeze():
-            # the update path goes through the store's @builds methods,
-            # which open a build phase — no tripwire
-            index.add_color("Cold", 10)
-            assert index.test(9) and index.test(11)
-            index.remove_color("Cold", 10)
-            assert not index.test(9)
+            # color flips repair inside an explicit build phase and
+            # return new generations — no tripwire, and no write to the
+            # frozen generation they started from
+            hot = index.add_color("Cold", 10)
+            assert hot.test((9,)) and hot.test((11,))
+            cold = hot.remove_color("Cold", 10)
+            assert not cold.test((9,))
+            assert hot.test((9,)) and not index.test((9,))
 
     def test_snapshot_roundtrip_under_freeze(self, tmp_path, graph):
         from repro.core.engine import build_index

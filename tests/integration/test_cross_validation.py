@@ -2,8 +2,8 @@
 
 Different modules compute the same quantities through different
 algorithms (enumeration vs closed-form counting; distance index vs BFS vs
-naive semantics; unary index vs dynamic index).  Agreement across them is
-a strong end-to-end invariant.
+naive semantics; a from-scratch unary index vs one repaired through color
+flips).  Agreement across them is a strong end-to-end invariant.
 """
 
 import random
@@ -13,7 +13,6 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.counting import CountingIndex
 from repro.core.distance_index import DistanceIndex
-from repro.core.dynamic import DynamicUnaryIndex
 from repro.core.engine import build_index
 from repro.core.unary import unary_solutions
 from repro.graphs.generators import random_planar_like_graph, random_tree
@@ -33,8 +32,9 @@ def test_enumerated_count_equals_closed_form(text):
     g = random_planar_like_graph(36, seed=4)
     phi = parse_formula(text)
     index = build_index(g, phi, config=TINY)
-    counting = CountingIndex(g, phi, index.free_order, TINY)
-    assert index.count() == counting.count()
+    counting = CountingIndex(index)
+    assert counting.method == "closed-form"
+    assert sum(1 for _ in index.enumerate()) == counting.count() == index.count()
 
 
 def test_distance_index_agrees_with_query_engine():
@@ -50,24 +50,29 @@ def test_distance_index_agrees_with_query_engine():
 
 def test_unary_paths_agree():
     g = random_tree(35, seed=8)
-    g.set_color("Hot", [3, 7, 20])
     phi = parse_formula("exists y. E(x, y) & Hot(y)")
+    flipped = build_index(g, phi)
+    for v in (3, 7, 20):
+        flipped = flipped.add_color("Hot", v)
+    g = g.copy()
+    g.set_color("Hot", [3, 7, 20])
     static = unary_solutions(g, phi, x)
-    dynamic = DynamicUnaryIndex(g, phi, x)
     naive = [v for v in g.vertices() if evaluate(g, phi, {x: v})]
-    assert static == dynamic.solutions() == naive
+    assert static == [v for (v,) in flipped.enumerate()] == naive
 
 
 def test_dynamic_converges_to_static_after_updates():
     g = random_tree(30, seed=10, palette=())
     phi = parse_formula("exists y. E(x, y) & Hot(y)")
-    dynamic = DynamicUnaryIndex(g, phi, x)
+    dynamic = build_index(g, phi)
     rng = random.Random(3)
     for _ in range(25):
         v = rng.randrange(g.n)
         if rng.random() < 0.6:
-            dynamic.add_color("Hot", v)
+            dynamic = dynamic.add_color("Hot", v)
         else:
-            dynamic.remove_color("Hot", v)
-    # rebuild statically on the mutated graph: must agree
-    assert dynamic.solutions() == unary_solutions(g, phi, x)
+            dynamic = dynamic.remove_color("Hot", v)
+    # rebuild statically on the final graph: must agree, register for register
+    final = dynamic.graph
+    assert [v for (v,) in dynamic.enumerate()] == unary_solutions(final, phi, x)
+    assert dynamic.registers() == build_index(final, phi).registers()

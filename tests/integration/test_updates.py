@@ -1,9 +1,10 @@
-"""Differential fuzzing of live edge updates (hypothesis).
+"""Differential fuzzing of live updates (hypothesis).
 
-Random sparse graphs, random queries, random insert/delete sequences:
-after every sequence the ball-locally repaired index must answer
-``test`` / ``next_solution`` / ``enumerate_page`` exactly like a
-from-scratch build on the final graph — and, stronger, its
+Random sparse graphs, random queries, random sequences interleaving edge
+inserts/deletes with Red/Blue color flips: after every sequence the
+ball-locally repaired index must answer ``test`` / ``next_solution`` /
+``enumerate_page`` / ``count`` exactly like a from-scratch build on the
+final graph (and ``count`` like the naive baseline) — and, stronger, its
 Storing-Theorem registers must be *identical* to the rebuild's
 (``QueryIndex.registers()``), so the repair is indistinguishable from
 re-running the whole Theorem 2.3 preprocessing.
@@ -16,6 +17,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.naive import NaiveIndex
 from repro.core.config import EngineConfig
 from repro.core.engine import build_index
 from repro.graphs.colored_graph import ColoredGraph
@@ -59,13 +61,21 @@ def sparse_colored_graph(draw):
     return g
 
 
-def _apply(index, pairs):
-    """Toggle each pair against the index's *current* graph; skip loops."""
-    for u, v in pairs:
+#: what an update step toggles: the edge ``{u, v}``, or a color at ``u``
+OPS = ("edge", "Red", "Blue")
+
+
+def _apply(index, steps):
+    """Toggle each step against the index's *current* graph: an edge
+    (loops skipped) or a color flip at ``u``."""
+    for op, u, v in steps:
         u, v = u % index.graph.n, v % index.graph.n
-        if u == v:
+        if op != "edge":
+            flip = index.remove_color if index.graph.has_color(u, op) else index.add_color
+            index = flip(op, u)
+        elif u == v:
             continue
-        if index.graph.has_edge(u, v):
+        elif index.graph.has_edge(u, v):
             index = index.delete_edge(u, v)
         else:
             index = index.insert_edge(u, v)
@@ -76,20 +86,24 @@ def _apply(index, pairs):
     sparse_colored_graph(),
     st.sampled_from(QUERY_POOL),
     st.lists(
-        st.tuples(st.integers(0, 35), st.integers(0, 35)),
+        st.tuples(
+            st.sampled_from(OPS), st.integers(0, 35), st.integers(0, 35)
+        ),
         min_size=1, max_size=6,
     ),
     st.integers(0, 999),
 )
 @settings(max_examples=30, deadline=None)
-def test_repaired_index_matches_rebuild(g, text, pairs, probe_seed):
+def test_repaired_index_matches_rebuild(g, text, steps, probe_seed):
     phi = parse_formula(text)
     index = build_index(g, phi, config=TINY)
-    updated = _apply(index, pairs)
+    updated = _apply(index, steps)
     rebuilt = build_index(updated.graph, phi, config=TINY)
 
     assert updated.registers() == rebuilt.registers()
     assert list(updated.enumerate()) == list(rebuilt.enumerate())
+    naive = NaiveIndex(updated.graph, phi, updated.free_order)
+    assert updated.count() == rebuilt.count() == len(naive)
     rng = random.Random(probe_seed)
     for _ in range(10):
         t = tuple(rng.randrange(g.n) for _ in range(updated.arity))
@@ -105,6 +119,7 @@ def test_updates_are_persistent_and_versioned(g, text):
     """Old generations never change; versions count updates monotonically."""
     index = build_index(g, text, config=TINY)
     before = list(index.enumerate())
+    reds_before = g.color("Red")
     fingerprint = index.fingerprint
     assert index.version == 0 and fingerprint[1] == 0
 
@@ -122,3 +137,16 @@ def test_updates_are_persistent_and_versioned(g, text):
     assert list(index.enumerate()) == before
     assert index.version == 0
     assert index.graph.num_edges != updated.graph.num_edges
+
+    # a color flip is a generation of its own, equally copy-on-write
+    reds = updated.graph.color("Red")
+    middle = list(updated.enumerate())
+    flipped = (
+        updated.remove_color("Red", u) if u in reds else updated.add_color("Red", u)
+    )
+    assert flipped.version == 2 and flipped.fingerprint == (fingerprint[0], 2)
+    assert updated.graph.color("Red") == reds
+    assert flipped.graph.color("Red") == reds ^ {u}
+    assert list(updated.enumerate()) == middle
+    assert list(index.enumerate()) == before
+    assert index.graph.color("Red") == reds_before

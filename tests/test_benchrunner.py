@@ -300,3 +300,47 @@ def test_gate_warm_speedup_is_a_floor():
     verdicts = check_gate(_fake_payload(_warm_series([(64, 16.0), (128, 3.0)])))
     warm = [v for v in verdicts if v["metric"] == "extra:warm_speedup_vs_cold"]
     assert warm and not any(v["passed"] for v in warm)
+
+
+# ----------------------------------------------------------------------
+# E13/E14: differential extras gated as floors
+
+
+def test_run_suite_e13_e14_differential_extras():
+    payload = run_suite(TINY, ["E13", "E14"])
+    assert validate_results(payload) == []
+    extras = {record["name"]: record["extra_info"] for record in payload["benchmarks"]}
+    for n in TINY.counting_sizes:
+        baseline = extras[f"test_enumerate_count_baseline[{n}]"]
+        assert baseline["count_equal"] == 1.0
+        assert baseline["solutions"] == extras[f"test_closed_form_count[{n}]"]["solutions"]
+    for n in TINY.dynamic_sizes:
+        assert extras[f"test_update[{n}]"]["register_equal"] == 1.0
+        assert f"test_rebuild_baseline[{n}]" in extras
+    gated = {
+        v["series"]: v["passed"]
+        for v in check_gate(payload)
+        if v["metric"] in ("extra:count_equal", "extra:register_equal")
+    }
+    assert gated == {"bench_counting::test_*": True, "bench_dynamic::test_*": True}
+
+
+@pytest.mark.parametrize(
+    ("experiment", "group", "name", "key"),
+    [
+        ("E13", "bench_counting", "test_enumerate_count_baseline", "count_equal"),
+        ("E14", "bench_dynamic", "test_update", "register_equal"),
+    ],
+)
+def test_gate_differential_extras_are_floors(experiment, group, name, key):
+    def verdicts(values):
+        records = []
+        for n, value in values:
+            record = _fake_record(name=f"{name}[{n}]", n=n, extra={key: value})
+            record.update(experiment=experiment, group=group)
+            records.append(record)
+        return [v for v in check_gate(_fake_payload(records)) if v["metric"] == f"extra:{key}"]
+
+    # one point already decides a floor rule, and a 0.0 point must fail it
+    assert [v["passed"] for v in verdicts([(64, 1.0)])] == [True]
+    assert [v["passed"] for v in verdicts([(64, 1.0), (128, 0.0)])] == [False]

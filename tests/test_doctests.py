@@ -4,7 +4,7 @@ import doctest
 
 import pytest
 
-import repro.core.dynamic
+import repro.core.engine
 import repro.graphs.colored_graph
 import repro.logic.diagnostics
 import repro.logic.parser
@@ -15,7 +15,7 @@ MODULES = [
     repro.logic.parser,
     repro.logic.diagnostics,
     repro.storage.function_store,
-    repro.core.dynamic,
+    repro.core.engine,
 ]
 
 
