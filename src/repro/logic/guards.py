@@ -16,6 +16,7 @@ pruning build on it.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 
 from repro.logic.syntax import (
     And,
@@ -26,10 +27,6 @@ from repro.logic.syntax import (
     Formula,
     Var,
 )
-
-#: cache: (formula, source, target) -> certified bound or None
-_connection_cache: dict[tuple[Formula, Var, Var], int | None] = {}
-
 
 def _collect_guard_edges(block: Formula) -> list[tuple[Var, Var, int]]:
     edges: list[tuple[Var, Var, int]] = []
@@ -52,16 +49,15 @@ def _collect_guard_edges(block: Formula) -> list[tuple[Var, Var, int]]:
     return edges
 
 
+@lru_cache(maxsize=4096)
 def implied_connection(block: Formula, x: Var, y: Var) -> int | None:
     """A certified bound ``B`` with ``block ⇒ dist(x, y) <= B`` — or None.
 
     Sound for any satisfying assignment/witness of ``block``: the
     collected atoms all hold, so the shortest guard-graph path bounds the
-    real distance.
+    real distance.  Memoized per ``(block, x, y)`` in a bounded,
+    thread-safe LRU cache.
     """
-    key = (block, x, y)
-    if key in _connection_cache:
-        return _connection_cache[key]
     adjacency: dict[Var, list[tuple[Var, int]]] = {}
     for u, v, w in _collect_guard_edges(block):
         adjacency.setdefault(u, []).append((v, w))
@@ -84,7 +80,6 @@ def implied_connection(block: Formula, x: Var, y: Var) -> int | None:
                 if nd < dist.get(v, nd + 1):
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v.name, v))
-    _connection_cache[key] = result
     return result
 
 

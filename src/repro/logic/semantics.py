@@ -17,6 +17,7 @@ from itertools import product
 
 from repro.graphs.colored_graph import ColoredGraph
 from repro.graphs.neighborhoods import bounded_bfs
+from repro.logic.guards import deep_guard
 from repro.logic.syntax import (
     And,
     Bottom,
@@ -160,10 +161,7 @@ def _witness_candidates(graph, phi, assignment, dist_cache):
     those, so e.g. adjacency-graph encodings of relational joins are
     evaluated neighborhood-by-neighborhood instead of domain-by-domain.
     """
-    from repro.logic.guards import deep_guard
-    from repro.logic.syntax import And as _And
-
-    parts = phi.body.parts if isinstance(phi.body, _And) else (phi.body,)
+    parts = phi.body.parts if isinstance(phi.body, And) else (phi.body,)
     best = None
     for part in parts:
         candidates = _guard_candidates(graph, part, phi.var, assignment, dist_cache)
@@ -183,9 +181,7 @@ def _witness_candidates(graph, phi, assignment, dist_cache):
 def _counterexample_candidates(graph, phi, assignment, dist_cache):
     """For ``∀z (¬guard(z, w) ∨ ...)``: values violating the guard satisfy
     the disjunct vacuously, so only guard-satisfying values need checking."""
-    from repro.logic.syntax import Or as _Or
-
-    parts = phi.body.parts if isinstance(phi.body, _Or) else (phi.body,)
+    parts = phi.body.parts if isinstance(phi.body, Or) else (phi.body,)
     best = None
     for part in parts:
         if isinstance(part, Not):

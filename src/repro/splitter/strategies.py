@@ -80,9 +80,11 @@ class GreedySeparatorStrategy(SplitterStrategy):
 class CentroidStrategy(SplitterStrategy):
     """Delete the ball vertex minimizing the largest remaining component.
 
-    Exact (scans every candidate) below ``exact_limit`` arena sizes; above
-    it falls back to :class:`GreedySeparatorStrategy` to stay within the
-    Remark 4.7 time budget in spirit.
+    Exact below ``exact_limit`` ball sizes: every candidate is scored by
+    :func:`_removal_scores` in one cut-vertex DFS, linear in the ball and
+    its edges, and the minimum ``(score, vertex)`` wins (the smallest
+    vertex among equally good separators).  Above the limit it falls
+    back to :class:`GreedySeparatorStrategy`, as before.
     """
 
     def __init__(self, exact_limit: int = 160) -> None:
@@ -93,34 +95,66 @@ class CentroidStrategy(SplitterStrategy):
         members = set(ball)
         if len(members) > self.exact_limit:
             return self._fallback.choose(graph, arena, ball, connector, radius)
-        best_vertex = None
-        best_score = None
-        for s in sorted(members):
-            score = _largest_component(graph, members - {s})
-            if best_score is None or score < best_score:
-                best_score = score
-                best_vertex = s
-        return best_vertex
+        scores = _removal_scores(graph, members)
+        return min(members, key=lambda s: (scores[s], s))
 
 
-def _largest_component(graph: ColoredGraph, members: set[int]) -> int:
-    seen: set[int] = set()
-    largest = 0
-    for start in members:
-        if start in seen:
+def _removal_scores(graph: ColoredGraph, members: set[int]) -> dict[int, int]:
+    """For every ``s`` in ``members``: the size of the largest connected
+    component of the subgraph induced by ``members - {s}``.
+
+    One iterative DFS per component of ``members`` records discovery
+    times, low-links and subtree sizes.  Deleting ``s`` cuts off each DFS
+    child ``c`` with ``low[c] >= disc[s]`` as a component of its own; the
+    rest of ``s``'s component stays connected to the parent side.  The
+    other components survive whole, so the largest of them (the two
+    largest sizes suffice) completes the score.  Time
+    ``O(|members| + edges among them)``.
+    """
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    size: dict[int, int] = {}
+    cut_max: dict[int, int] = {}  # largest subtree deleting the vertex cuts off
+    cut_sum: dict[int, int] = {}  # total size of those subtrees
+    components: list[tuple[int, list[int]]] = []
+    for root in members:
+        if root in disc:
             continue
-        size = 0
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            size += 1
-            for w in graph.neighbors(u):
-                if w in members and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        largest = max(largest, size)
-    return largest
+        order = [root]
+        disc[root] = low[root] = len(disc)
+        size[root], cut_max[root], cut_sum[root] = 1, 0, 0
+        stack = [(root, iter(graph.neighbors(root)))]
+        while stack:
+            v, pending = stack[-1]
+            for w in pending:
+                if w not in members:
+                    continue
+                if w in disc:
+                    low[v] = min(low[v], disc[w])
+                    continue
+                disc[w] = low[w] = len(disc)
+                size[w], cut_max[w], cut_sum[w] = 1, 0, 0
+                order.append(w)
+                stack.append((w, iter(graph.neighbors(w))))
+                break
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    size[parent] += size[v]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        cut_sum[parent] += size[v]
+                        cut_max[parent] = max(cut_max[parent], size[v])
+        components.append((size[root], order))
+    sizes = sorted((total for total, _ in components), reverse=True) + [0, 0]
+    scores: dict[int, int] = {}
+    for total, order in components:
+        others = sizes[1] if total == sizes[0] else sizes[0]
+        for v in order:
+            rest = total - 1 - cut_sum[v]
+            scores[v] = max(others, cut_max[v], rest)
+    return scores
 
 
 def forest_depths(graph: ColoredGraph) -> dict[int, int]:

@@ -42,7 +42,7 @@ from __future__ import annotations
 from array import array
 from typing import Any
 
-from repro.contracts import builds, constant_time, frozen_after_build, read_only
+from repro.contracts import builds, constant_time, delay, frozen_after_build, read_only
 
 #: delta tag: the cell points to a child node's first register.
 CHILD = 1
@@ -214,6 +214,33 @@ class RegisterFile:
             self._release_slot(old >> 2)
         self._delta[index] = delta
         self._payload[index] = self._encode(delta, payload)
+
+    @delay("O(count)", note="one interning, one C-level slice write per array")
+    @builds
+    def fill_gaps(self, start: int, count: int, successor: Any) -> None:
+        """Overwrite the ``count`` registers from ``start`` with ``(GAP, successor)``.
+
+        The run-length form of ``count`` :meth:`write` calls, leaving the
+        same cells and side-table refcounts: whatever the cells held is
+        released, the successor (a hashable key tuple, or None) is
+        interned once with the run length added to its refcount, and
+        each arena array takes one slice write.
+        """
+        if count <= 0:
+            return
+        stop = start + count
+        held = self._payload[start:stop]
+        if held.count(0) != count:
+            for word in held:
+                if word & 2 and word >> 2:
+                    self._release_slot(word >> 2)
+        word = 0
+        if successor is not None:
+            slot = self._intern_slot(successor)
+            self._refs[slot] += count - 1
+            word = (slot << 2) | _TAG_SUCC
+        self._delta[start:stop] = array("b", bytes(count))  # GAP is 0
+        self._payload[start:stop] = array("q", (word,)) * count
 
     @property
     @read_only

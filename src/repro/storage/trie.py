@@ -152,8 +152,7 @@ class TrieStore:
     @builds
     def _new_node(self, parent_cell: int | None) -> int:
         base = self.registers.allocate(self.d + 1)
-        for j in range(self.d):
-            self.registers.write(base + j, GAP, None)
+        self.registers.fill_gaps(base, self.d, None)
         self.registers.write(base + self.d, PARENT, parent_cell)
         return base
 
@@ -407,9 +406,13 @@ class TrieStore:
         with the previous key, and every gap cell is pointed at its
         successor in a single reverse-lexicographic pass — so the
         ``O(d*k*h)`` per-insert gap maintenance is paid once per *node*
-        instead of once per *key*.  Duplicate keys keep the last value
-        (dict semantics).  Requires an empty store; returns the number of
-        keys loaded.
+        instead of once per *key*.  Fresh nodes and the gap runs between
+        neighbouring children are written with one
+        :meth:`RegisterFile.fill_gaps` each, so the load issues
+        O(nodes + runs) register writes rather than one per cell, and
+        leaves exactly the registers per-cell writes would.  Duplicate
+        keys keep the last value (dict semantics).  Requires an empty
+        store; returns the number of keys loaded.
         """
         if self._size:
             raise ValueError("bulk_load requires an empty store")
@@ -446,27 +449,35 @@ class TrieStore:
 
     @builds
     def _fill_all_gaps(self) -> None:
-        """Point every gap cell at its successor in one reverse-order pass."""
+        """Point every gap cell at its successor in one reverse-order pass.
+
+        The gap cells between two neighbouring children of a node (and
+        before the first, after the last) share one successor, so each
+        such run is written with one :meth:`RegisterFile.fill_gaps`.
+        """
         last = self.depth - 1
         next_key: tuple[int, ...] | None = None
         prefix: list[int] = []
 
         def walk(base: int, t: int) -> None:
             nonlocal next_key
+            run_end = base + self.d  # cells [cell + 1, run_end) await next_key
             for digit in range(self.d - 1, -1, -1):
                 cell = base + digit
                 delta, payload = self.registers.read(cell)
-                if delta == CHILD:
-                    if t == last:
-                        prefix.append(digit)
-                        next_key = self._decode(prefix)
-                        prefix.pop()
-                    else:
-                        prefix.append(digit)
-                        walk(payload, t + 1)
-                        prefix.pop()
+                if delta != CHILD:
+                    continue
+                if run_end > cell + 1:
+                    self.registers.fill_gaps(cell + 1, run_end - cell - 1, next_key)
+                run_end = cell
+                prefix.append(digit)
+                if t == last:
+                    next_key = self._decode(prefix)
                 else:
-                    self.registers.write(cell, GAP, next_key)
+                    walk(payload, t + 1)
+                prefix.pop()
+            if run_end > base:
+                self.registers.fill_gaps(base, run_end - base, next_key)
 
         walk(self._root, 0)
 

@@ -88,3 +88,43 @@ def test_counterexample_guard_simple_negated_atom():
 def test_counterexample_guard_none_for_unbounded():
     phi = nnf("forall z. (Red(z) | Blue(z))")
     assert deep_counterexample_guard(phi.body, z, {x: 0}) is None
+
+
+def test_connection_cache_is_bounded_and_hit():
+    assert implied_connection.cache_info().maxsize is not None
+    phi = parse_formula("E(x, z) & E(z, y)")
+    assert implied_connection(phi, x, y) == 2
+    hits = implied_connection.cache_info().hits
+    assert implied_connection(phi, x, y) == 2
+    assert implied_connection.cache_info().hits == hits + 1
+
+
+def test_connection_cache_under_concurrent_readers():
+    """Threads filling the cache at once all get the certified bounds."""
+    import sys
+    import threading
+
+    formulas = [parse_formula(f"dist(x, z) <= {b} & E(z, y)") for b in range(1, 41)]
+    expected = [b + 1 for b in range(1, 41)]
+    results: list[list[int | None]] = []
+    lock = threading.Lock()
+
+    def worker() -> None:
+        got = [implied_connection(phi, x, y) for phi in formulas]
+        with lock:
+            results.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 8
+    info = implied_connection.cache_info()
+    assert info.currsize <= info.maxsize

@@ -317,6 +317,156 @@ def test_bulk_load_matches_sorted_incremental_inserts(payloads):
     assert list(bulk.keys()) == list(incremental.keys())
 
 
+class _PerCellTrie(TrieStore):
+    """Reference: the trie with per-cell gap writes (no run fill).
+
+    Fresh nodes write their ``d`` gap cells one ``write`` at a time and
+    the gap pass writes every gap cell separately — the register-op
+    shape :meth:`RegisterFile.fill_gaps` replaces.
+    """
+
+    def _new_node(self, parent_cell):
+        base = self.registers.allocate(self.d + 1)
+        for j in range(self.d):
+            self.registers.write(base + j, GAP, None)
+        self.registers.write(base + self.d, PARENT, parent_cell)
+        return base
+
+    def _fill_all_gaps(self):
+        last = self.depth - 1
+        next_key = None
+        prefix = []
+
+        def walk(base, t):
+            nonlocal next_key
+            for digit in range(self.d - 1, -1, -1):
+                cell = base + digit
+                delta, payload = self.registers.read(cell)
+                if delta == CHILD:
+                    prefix.append(digit)
+                    if t == last:
+                        next_key = self._decode(prefix)
+                    else:
+                        walk(payload, t + 1)
+                    prefix.pop()
+                else:
+                    self.registers.write(cell, GAP, next_key)
+
+        walk(self._root, 0)
+
+
+def _refcounts(registers: RegisterFile) -> dict[Any, int]:
+    """Live side-table values and their reference counts."""
+    free = set(registers._free)
+    return {
+        registers._objects[slot]: registers._refs[slot]
+        for slot in range(1, len(registers._objects))
+        if slot not in free
+    }
+
+
+@st.composite
+def bulk_scenario(draw):
+    n = draw(st.sampled_from([4, 16, 50, 200]))
+    k = draw(st.sampled_from([1, 2, 3]))
+    eps = draw(st.sampled_from([0.3, 0.5, 0.9]))
+    keys = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * k), max_size=60))
+    payloads = draw(st.sampled_from(PAYLOADS))
+    return n, k, eps, [(key, _value(payloads, i % 5)) for i, key in enumerate(keys)]
+
+
+@given(bulk_scenario())
+@settings(max_examples=150, deadline=None)
+def test_run_fill_bulk_load_matches_per_cell_writes(case):
+    """The run fill writes exactly the registers per-cell writes did:
+    same decoded cells, same raw arena words, same side-table refcounts."""
+    n, k, eps, pairs = case
+    runs = TrieStore(n, k, eps)
+    cells = _PerCellTrie(n, k, eps)
+    assert runs.bulk_load(pairs) == cells.bulk_load(pairs)
+    runs.check_invariants()
+    assert runs.registers.dump() == cells.registers.dump()
+    assert runs.registers._delta == cells.registers._delta
+    assert runs.registers._payload == cells.registers._payload
+    assert _refcounts(runs.registers) == _refcounts(cells.registers)
+
+
+@st.composite
+def fill_scenario(draw):
+    size = draw(st.integers(1, 40))
+    pool = [None, (1,), (2, 5), (3, 3), "leaf", 7, (1 << 62)]
+    writes = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, size - 1),
+                st.sampled_from([CHILD, GAP, PARENT]),
+                st.sampled_from(pool),
+            ),
+            max_size=60,
+        )
+    )
+    start = draw(st.integers(0, size - 1))
+    count = draw(st.integers(0, size - start))
+    successor = draw(st.sampled_from([None, (1,), (2, 5), (9, 9)]))
+    return size, writes, start, count, successor
+
+
+@given(fill_scenario())
+@settings(max_examples=200, deadline=None)
+def test_fill_gaps_matches_per_cell_writes(case):
+    """Over cells holding anything, one ``fill_gaps`` leaves the same
+    decoded registers and per-value refcounts as ``count`` writes."""
+    size, writes, start, count, successor = case
+    files = []
+    for _ in range(2):
+        registers = RegisterFile()
+        base = registers.allocate(size)
+        for offset, delta, payload in writes:
+            registers.write(base + offset, delta, payload)
+        files.append((registers, base))
+    (runs, base), (cells, _) = files
+    runs.fill_gaps(base + start, count, successor)
+    for index in range(base + start, base + start + count):
+        cells.write(index, GAP, successor)
+    assert runs.dump() == cells.dump()
+    assert _refcounts(runs) == _refcounts(cells)
+    runs.check_intern_invariants(runs.used)
+
+
+def test_bulk_load_writes_once_per_node_and_run():
+    """Count guard: a bulk load issues O(nodes + runs) register writes.
+
+    One write per stored key, three per created node (its fresh gap run,
+    its parent pointer, the child pointer to it) and one ``fill_gaps``
+    per gap run — not one write per cell, which for this key set would
+    be over ``nodes * d``, more than four times as many.
+    """
+    from repro.metrics import collect
+
+    rng = random.Random(16)
+    keys = [(a,) for a in rng.sample(range(4096), 300)]
+    store = TrieStore(4096, 1, 0.5)
+    with collect(ops=True) as registry:
+        store.bulk_load((key, 0) for key in keys)
+    store.check_invariants()
+    counts = registry.op_counts
+    writes = counts.get("repro.storage.registers.RegisterFile.write", 0)
+    fills = counts.get("repro.storage.registers.RegisterFile.fill_gaps", 0)
+    width = store.d + 1
+    nodes = (store.registers_used - 1) // width
+    cells = store.registers.dump()
+    runs = 0  # maximal stretches of equal gap cells inside one node
+    for node in range(nodes):
+        row = cells[1 + node * width : node * width + width]
+        runs += sum(
+            1
+            for j, cell in enumerate(row)
+            if cell[0] == GAP and (j == 0 or row[j - 1] != cell)
+        )
+    assert writes + fills <= len(keys) + 3 * (nodes - 1) + runs
+    assert 4 * (writes + fills) < nodes * store.d
+
+
 @pytest.mark.parametrize("payloads", PAYLOADS)
 def test_pickle_round_trip(payloads):
     store = TrieStore(27, 2, 1 / 3)
