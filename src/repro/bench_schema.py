@@ -3,8 +3,10 @@
 ``repro bench-suite`` writes a single JSON document; this module is the
 one place its shape is defined.  The layout is a superset of what
 :mod:`repro.reporting` consumes (``benchmarks[*].fullname/name/stats/
-extra_info`` match pytest-benchmark's layout), so every existing
-reporting path renders suite output unchanged.
+extra_info``).  ``group`` names an experiment group and ``fullname``
+keeps the historical ``benchmarks/<group>.py::<name>`` form — no such
+file exists; the id format is kept so result documents from different
+versions stay comparable.
 
 Top level::
 
@@ -18,7 +20,7 @@ Top level::
       "benchmarks": [
         {
           "experiment": "E1",
-          "group": "bench_storing",              # the bench_* file stem
+          "group": "bench_storing",              # experiment group (E1)
           "fullname": "benchmarks/bench_storing.py::test_lookup[1024]",
           "name": "test_lookup[1024]",
           "params": {"n": 1024},

@@ -1,17 +1,21 @@
 """Self-contained benchmark-suite runner for the paper's experiments.
 
-``repro bench-suite`` executes the E1-E18 sweeps directly — no
-pytest-benchmark, no plugins — and writes one schema-validated JSON
-document (see :mod:`repro.bench_schema`) that the existing
-:mod:`repro.reporting` pipeline renders into EXPERIMENTS.md unchanged:
-record ``fullname``/``name`` strings mirror the pytest-benchmark ids
-emitted by ``benchmarks/bench_*.py``, so the verdict extraction in
-``scripts/make_experiments.py`` keeps working on suite output.
+``repro bench-suite`` executes the E1-E18 sweeps directly — no plugins —
+and is the repository's only benchmark producer.  It writes one
+schema-validated JSON document (see :mod:`repro.bench_schema`) that
+:mod:`repro.reporting` and ``scripts/make_experiments.py`` render into
+EXPERIMENTS.md.  Each record's ``fullname`` is
+``benchmarks/<group>.py::<name>``: the ``<group>`` names an experiment
+group (``bench_delay`` is E9), not a file — the ids are kept in this
+form so result documents stay comparable across versions.
 
 Two profiles:
 
-* ``full`` — the paper-scale sweeps (the same sizes the ``benchmarks/``
-  files use); minutes of wall clock.
+* ``full`` — the paper-scale sweeps; minutes of wall clock.  It also
+  runs un-gated side sweeps the quick profile skips: a second family
+  and a radius sweep for E3, tree/grid covers, a radius sweep and the
+  Lemma 5.7 kernels for E4, rounds vs radius for E5, and weak
+  2-accessibility for E10.
 * ``quick`` (``--quick``) — shrunk sweeps for CI smoke runs; the scaling
   *shape* is still measurable (largest/smallest n is 4-16x), just noisier.
 
@@ -148,8 +152,7 @@ def _timed(
     ``warmup=True`` runs one untimed round first.  Repeated query batches
     need this: the first batch against a fresh index triggers the
     amortized-O(1) lazy builds (membership stores, far-structure caches),
-    whose one-time cost would otherwise masquerade as per-query growth —
-    it is what pytest-benchmark's calibration rounds used to absorb.
+    whose one-time cost would otherwise masquerade as per-query growth.
     """
     if warmup:
         fn()
@@ -160,6 +163,11 @@ def _timed(
         result = fn()
         durations.append(time.perf_counter() - tick)
     return _stats(durations), result
+
+
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    """The ``q``-th percentile (0 < q <= 100) of sorted data, nearest rank."""
+    return ordered[max(0, math.ceil(q / 100 * len(ordered)) - 1)]
 
 
 def _pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
@@ -206,7 +214,7 @@ def _edit_sequence(
 
 
 class BenchSuite:
-    """Runs experiment series and accumulates pytest-benchmark-shaped records."""
+    """Runs experiment series and accumulates schema-shaped records."""
 
     def __init__(
         self,
@@ -391,21 +399,72 @@ class BenchSuite:
                 stats, {"probes": len(probes)},
             )
 
+        if p.name != "full":
+            return
+        # un-gated sweeps: a second family, and preprocessing vs radius
+        for n in p.sizes:
+            g = self.graph("grid", n)
+            stats, index = _timed(lambda g=g: DistanceIndex(g, 2), 1)
+            self.record(
+                "E3", "bench_distance", f"test_preprocess[grid-{n}]", {"n": n},
+                stats, {"recursion_depth": index.recursion_depth},
+            )
+        n = p.sizes[1]
+        g = self.graph("grid", n)
+        for radius in (1, 2, 4):
+            stats, index = _timed(lambda g=g, r=radius: DistanceIndex(g, r), 1)
+            self.record(
+                "E3", "bench_distance", f"test_radius_sweep[{radius}]",
+                {"n": n, "radius": radius}, stats,
+                {"recursion_depth": index.recursion_depth},
+            )
+
     # -- E4: neighborhood covers ---------------------------------------
 
     def run_e4(self) -> None:
+        from repro.covers.kernels import kernel_of_bag
         from repro.covers.neighborhood_cover import build_cover
 
-        for n in self.profile.sizes:
-            g = self.graph("planar", n)
-            stats, cover = _timed(lambda g=g: build_cover(g, 2), 1)
+        p = self.profile
+        # the full profile adds un-gated family, radius and kernel sweeps
+        families = ("planar", "tree", "grid") if p.name == "full" else ("planar",)
+        for family in families:
+            for n in p.sizes:
+                g = self.graph(family, n)
+                stats, cover = _timed(lambda g=g: build_cover(g, 2), 1)
+                self.record(
+                    "E4", "bench_cover", f"test_build_cover[{family}-{n}]",
+                    {"n": n}, stats,
+                    {
+                        "degree": cover.degree(),
+                        "degree_bound_sqrt_n": round(n**0.5, 1),
+                        "total_bag_size_over_n": round(cover.total_bag_size() / n, 2),
+                    },
+                )
+        if p.name != "full":
+            return
+        n = p.sizes[-1]
+        g = self.graph("grid", n)
+        for radius in (1, 2, 4, 8):
+            stats, cover = _timed(lambda g=g, r=radius: build_cover(g, r), 1)
             self.record(
-                "E4", "bench_cover", f"test_build_cover[planar-{n}]", {"n": n}, stats,
-                {
-                    "degree": cover.degree(),
-                    "degree_bound_sqrt_n": round(n**0.5, 1),
-                    "total_bag_size_over_n": round(cover.total_bag_size() / n, 2),
-                },
+                "E4", "bench_cover", f"test_radius_sweep[{radius}]",
+                {"n": n, "radius": radius}, stats,
+                {"degree": cover.degree(), "bags": cover.num_bags},
+            )
+        for n in p.sizes:
+            g = self.graph("planar", n)
+            cover = build_cover(g, 2)
+
+            def all_kernels(g: Any = g, cover: Any = cover) -> list:
+                # Lemma 5.7: kernels in O(p * ||G[X]||) per bag
+                return [kernel_of_bag(g, bag, 2) for bag in cover.bags]
+
+            stats, kernels = _timed(all_kernels, 1)
+            total = sum(len(kernel) for kernel in kernels)
+            self.record(
+                "E4", "bench_cover", f"test_kernels[{n}]", {"n": n}, stats,
+                {"kernel_fraction": round(total / max(cover.total_bag_size(), 1), 2)},
             )
 
     # -- E5: the splitter game -----------------------------------------
@@ -424,6 +483,18 @@ class BenchSuite:
                     "E5", "bench_splitter", f"test_rounds_vs_n[{family}-{n}]",
                     {"n": n, "family": family}, stats, {"rounds": rounds},
                 )
+        if p.name != "full":
+            return
+        n = p.splitter_sizes[1]
+        g = self.graph("tree", n)
+        for radius in (1, 2, 4):
+            stats, rounds = _timed(
+                lambda g=g, r=radius: rounds_to_win(g, r, trials=p.splitter_trials), 1
+            )
+            self.record(
+                "E5", "bench_splitter", f"test_rounds_vs_radius[{radius}]",
+                {"n": n, "radius": radius}, stats, {"rounds": rounds},
+            )
 
     # -- E6: skip pointers ---------------------------------------------
 
@@ -542,27 +613,23 @@ class BenchSuite:
     # -- E9: constant-delay enumeration --------------------------------
 
     def run_e9(self) -> None:
-        from repro.metrics.runtime import collect
+        from repro.core.enumeration import enumerate_with_delays
 
         p = self.profile
         for n in p.delay_sizes:
             index = self.index("planar", n, _QUERY)
-
-            def enumerate_all(index: Any = index) -> tuple[int, Any]:
-                with collect(ops=False) as registry:
-                    solutions = 0
-                    for _ in index.enumerate():
-                        solutions += 1
-                return solutions, registry.histograms.get("enumeration.delay_seconds")
-
-            stats, (solutions, hist) = _timed(enumerate_all, 1)
-            extra: dict[str, Any] = {"solutions": solutions}
-            if hist is not None and hist.count:
+            stats, (solutions, delays) = _timed(
+                lambda index=index: enumerate_with_delays(index.enumerate()), 1
+            )
+            extra: dict[str, Any] = {"solutions": len(solutions)}
+            if delays:
+                # exact nearest-rank percentiles over every per-answer delay
+                ordered = sorted(delays)
                 extra.update(
-                    delay_mean_us=round(hist.mean * 1e6, 1),
-                    delay_p50_us=round(hist.p50 * 1e6, 1),
-                    delay_p95_us=round(hist.p95 * 1e6, 1),
-                    delay_max_us=round(hist.max * 1e6, 1),
+                    delay_mean_us=round(sum(delays) / len(delays) * 1e6, 1),
+                    delay_p50_us=round(_nearest_rank(ordered, 50) * 1e6, 1),
+                    delay_p95_us=round(_nearest_rank(ordered, 95) * 1e6, 1),
+                    delay_max_us=round(ordered[-1] * 1e6, 1),
                 )
             self.record(
                 "E9", "bench_delay", f"test_delay_profile[{n}]", {"n": n}, stats, extra
@@ -588,10 +655,14 @@ class BenchSuite:
     # -- E10: sparsity of the generated families -----------------------
 
     def run_e10(self) -> None:
-        from repro.graphs.sparsity import edge_density_exponent
+        from repro.graphs.sparsity import (
+            edge_density_exponent,
+            weak_coloring_number_upper_bound,
+        )
 
+        p = self.profile
         for family in ("tree", "grid", "planar", "degree3"):
-            for n in self.profile.sizes:
+            for n in p.sizes:
                 g = self.graph(family, n)
                 stats, exponent = _timed(lambda g=g: edge_density_exponent(g), 1)
                 self.record(
@@ -599,6 +670,16 @@ class BenchSuite:
                     {"n": n, "family": family}, stats,
                     {"exponent": round(exponent, 4)},
                 )
+        if p.name != "full":
+            return
+        for n in p.sizes:
+            # weak r-accessibility: flat in n on a bounded-expansion family
+            g = self.graph("planar", n)
+            stats, bound = _timed(lambda g=g: weak_coloring_number_upper_bound(g, 2), 1)
+            self.record(
+                "E10", "bench_sparsity", f"test_weak_accessibility[{n}]", {"n": n},
+                stats, {"weak_2_coloring_bound": bound},
+            )
 
     # -- E11: relational-to-graph reduction ----------------------------
 
@@ -729,6 +810,9 @@ class BenchSuite:
     # -- EA: knob ablations (full profile only by default) -------------
 
     def run_ea(self) -> None:
+        from repro.core.config import EngineConfig
+        from repro.core.distance_index import DistanceIndex
+        from repro.core.engine import build_index
         from repro.storage.trie import TrieStore
 
         n = 2**14 if self.profile.name == "full" else 2**10
@@ -747,6 +831,31 @@ class BenchSuite:
             self.record(
                 "EA", "bench_ablation", f"test_trie_eps[{eps}]", {"eps": eps}, stats,
                 {"d": store.d, "h": store.h, "registers": store.registers_used},
+            )
+
+        # Step-1 cutoffs and depth caps move preprocessing cost; answer
+        # invariance is tests/core/test_config.py's job, not a series'
+        n = self.profile.sizes[0]
+        g = self.graph("planar", n)
+        for threshold in (16, 64, 220):
+            config = EngineConfig(bag_naive_threshold=threshold)
+            stats, _ = _timed(
+                lambda config=config: build_index(g, _QUERY, config=config), 1
+            )
+            self.record(
+                "EA", "bench_ablation", f"test_bag_threshold[{threshold}]",
+                {"n": n, "threshold": threshold}, stats, {"threshold": threshold},
+            )
+        n = self.profile.sizes[1]
+        g = self.graph("grid", n)
+        for depth in (1, 3):
+            stats, index = _timed(
+                lambda depth=depth: DistanceIndex(g, 2, max_depth=depth), 1
+            )
+            self.record(
+                "EA", "bench_ablation", f"test_distance_recursion_depth[{depth}]",
+                {"n": n, "depth": depth}, stats,
+                {"measured_depth": index.recursion_depth},
             )
 
     # -- E15: persistence (cold vs warm) + parallel preprocessing -------
@@ -1659,7 +1768,7 @@ def run_cli(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.benchrunner",
-        description="Run the paper's benchmark suite without pytest-benchmark.",
+        description="Run the paper's benchmark suite and its regression gate.",
     )
     add_arguments(parser)
     return run_cli(parser.parse_args(argv))

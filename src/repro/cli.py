@@ -41,8 +41,8 @@ Commands
     One-line timing summary: preprocessing, per-test, per-next.
 
 ``bench-suite [--quick] [-o FILE] [--experiments IDS] [--report FILE]``
-    Run the paper's E1-E18 experiment sweeps (no pytest-benchmark
-    needed), write schema-validated results JSON, and check the O(1)
+    Run the paper's E1-E18 experiment sweeps (the only benchmark
+    producer), write schema-validated results JSON, and check the O(1)
     regression gate.  See :mod:`repro.benchrunner`.
 
 ``serve [--host H] [--port P] [--snapshot-dir DIR] [--graph-root DIR] ...``
@@ -453,8 +453,8 @@ def _cmd_serve(args) -> int:
         # a live registry for the server's lifetime makes /metrics real:
         # engine.* counters, enumeration delay histograms, serve.* cache
         # counters (ops=False keeps contracted calls unpatched and fast;
-        # bounded histograms keep a long-lived server's memory flat)
-        with metrics.collect(ops=False, histogram_samples=8192):
+        # histograms hold bucket counts, so memory stays flat)
+        with metrics.collect(ops=False):
             server.serve_forever()
     except KeyboardInterrupt:
         print("repro serve: shutting down", file=sys.stderr)

@@ -8,7 +8,7 @@ tuple, and ask the index for the next solution at or above it.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.contracts import constant_time, delay
 from repro.core.next_solution import NextSolutionIndex, increment_tuple
@@ -83,20 +83,23 @@ def enumerate_solutions(
 
 
 def enumerate_with_delays(
-    index: NextSolutionIndex,
+    solutions: Iterable[tuple[int, ...]],
 ) -> tuple[list[tuple[int, ...]], list[float]]:
-    """Enumerate fully, recording the wall-clock delay before each output.
+    """Drain a solution stream, recording the wall-clock delay before each output.
 
     The delay list is what experiment E9 reports: the paper predicts it is
     flat in ``|G|`` (constant delay), with the first entry covering the
-    time-to-first-solution.
+    time-to-first-solution.  E9 takes its exact nearest-rank percentiles
+    from this list, not from the bucketed ``enumeration.delay_seconds``
+    histogram.  Pass ``enumerate_solutions(index)`` or a built index's
+    ``enumerate()``.
     """
-    solutions: list[tuple[int, ...]] = []
+    out: list[tuple[int, ...]] = []
     delays: list[float] = []
     tick = time.perf_counter()
-    for solution in enumerate_solutions(index):
+    for solution in solutions:
         now = time.perf_counter()
         delays.append(now - tick)
         tick = now
-        solutions.append(solution)
-    return solutions, delays
+        out.append(solution)
+    return out, delays

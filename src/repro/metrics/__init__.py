@@ -1,12 +1,12 @@
 """Observability for the paper's complexity claims (``repro.metrics``).
 
 The contracts layer (PR 1) states the bounds *statically*; this package
-measures them *empirically*.  Three primitives —
+measures them *empirically*.  Two primitives —
 
 * :class:`~repro.metrics.core.Counter` — operation counts,
-* :class:`~repro.metrics.core.Timer` — accumulating monotonic timers,
-* :class:`~repro.metrics.core.Histogram` — delay distributions with
-  p50/p95/max summaries —
+* :class:`~repro.metrics.core.Histogram` — delay distributions as exact
+  count/total/min/max plus mergeable log-2 buckets, with p50/p95/p99
+  estimates within one bucket width —
 
 live in a :class:`~repro.metrics.core.MetricsRegistry` activated by
 :func:`~repro.metrics.runtime.collect`::
@@ -24,39 +24,35 @@ The hot paths are threaded with zero-cost hooks (a single ``None`` check
 when no registry is active), and ``ops=True`` additionally counts every
 contracted-function call via the PR-1 ``instrument()`` patch — so
 "constant time" is checked in primitive operations, not just wall-clock.
-The ``repro bench-suite`` runner (:mod:`repro.benchrunner`) builds the
-E1–E14 measurement series on top of this package.
+The ``repro bench-suite`` runner (:mod:`repro.benchrunner`) counts E1's
+register operations per lookup through this package; E9 keeps its own
+per-answer delay list, so its gated percentiles are exact rather than
+bucket estimates.  Servers expose a registry's ``export()`` payload as
+Prometheus text through :func:`~repro.metrics.prometheus.render_prometheus`.
 """
 
 from repro.metrics.core import (
     Counter,
     Histogram,
     MetricsRegistry,
-    Timer,
     bucket_exponent,
     bucket_upper_edge,
     merge_snapshots,
     percentile_from_buckets,
 )
-from repro.metrics.prometheus import (
-    flatten_gauges,
-    render_merged_prometheus,
-    render_prometheus,
-)
+from repro.metrics.prometheus import flatten_gauges, render_prometheus
 from repro.metrics.runtime import (
     active,
     collect,
     count,
     delay_recorder,
     observe,
-    time_block,
 )
 
 __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "Timer",
     "active",
     "bucket_exponent",
     "bucket_upper_edge",
@@ -67,7 +63,5 @@ __all__ = [
     "merge_snapshots",
     "observe",
     "percentile_from_buckets",
-    "render_merged_prometheus",
     "render_prometheus",
-    "time_block",
 ]

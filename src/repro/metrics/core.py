@@ -1,22 +1,23 @@
-"""Metric primitives: counters, monotonic timers, delay histograms.
+"""Metric primitives: counters and mergeable delay histograms.
 
 These are the value types behind :mod:`repro.metrics`.  They are plain
 mutable objects with O(1) update operations — a :class:`Counter` is one
-integer add, a :class:`Timer` lap is two ``perf_counter`` reads, a
-:class:`Histogram` record is one list append — so they can sit on the
-paper's constant-time hot paths without changing any asymptotics.
+integer add, a :class:`Histogram` record is one ``frexp`` and a few
+locked adds — so they can sit on the paper's constant-time hot paths
+without changing any asymptotics.
 
-Percentile queries (:meth:`Histogram.percentile`) sort lazily and cache
-the sorted order; they are meant for *after* a measurement run, not
-inside one.
+A histogram stores no samples: it keeps exact running aggregates
+(count, total, min, max) and one count per log-2 bucket, so its memory
+is bounded by the number of distinct magnitudes and snapshots from
+different processes merge by plain addition.  Percentiles come from the
+buckets (:func:`percentile_from_buckets`): within one bucket width of
+the true nearest-rank sample, and never above the exact max.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import threading
-import time
 from typing import Any
 
 from repro.contracts import guarded_by
@@ -63,121 +64,44 @@ class Counter:
         return f"Counter({self.name!r}, value={self.value})"
 
 
-class Timer:
-    """A named accumulating monotonic timer (``time.perf_counter`` based).
-
-    Usable as a context manager; each enter/exit pair adds one *lap*.
-    ``total`` is the accumulated wall-clock time across laps.
-    """
-
-    __slots__ = ("name", "total", "laps", "_started")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.total = 0.0
-        self.laps = 0
-        self._started: float | None = None
-
-    def start(self) -> None:
-        self._started = time.perf_counter()
-
-    def stop(self) -> float:
-        """End the current lap; returns the lap's duration in seconds."""
-        if self._started is None:
-            raise RuntimeError(f"timer {self.name!r} stopped without start()")
-        lap = time.perf_counter() - self._started
-        self._started = None
-        self.total += lap
-        self.laps += 1
-        return lap
-
-    def __enter__(self) -> Timer:
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    @property
-    def mean(self) -> float:
-        """Mean seconds per lap (0.0 before the first lap)."""
-        return self.total / self.laps if self.laps else 0.0
-
-    def __repr__(self) -> str:
-        return f"Timer({self.name!r}, total={self.total:.6f}s, laps={self.laps})"
-
-
-@guarded_by(
-    "_lock", "_samples", "_sorted", "_count", "_total", "_max", "_min", "_buckets"
-)
+@guarded_by("_lock", "_count", "_total", "_max", "_min", "_buckets")
 class Histogram:
     """A named sample distribution with p50/p95/p99/max summaries.
 
-    Records raw samples (typically per-answer delays in seconds) and
-    answers percentile queries afterwards.  Recording is an O(1) locked
-    append; percentile queries sort on demand and cache until the next
-    record.
+    Records samples (typically per-answer delays in seconds) into exact
+    running aggregates — ``count``, ``total``, ``mean``, ``min`` and
+    ``max`` — and into **fixed log-2 buckets** (one ``frexp`` per record):
+    bucket ``e`` counts samples in ``[2**(e-1), 2**e)``.  No sample is
+    stored, so memory stays flat in a long-lived ``repro serve`` process.
 
-    Two storage modes:
-
-    * **exact** (``max_samples=None``, the default) keeps every sample —
-      what the bench suite wants, where a run is finite and percentiles
-      must be exact;
-    * **reservoir** (``max_samples=N``) keeps a uniform random sample of
-      size ``N`` (Vitter's algorithm R, deterministic per-histogram
-      seed), which bounds memory in a long-lived ``repro serve`` process
-      while keeping percentiles statistically faithful.  ``count``,
-      ``total``, ``mean`` and ``max`` stay *exact* in both modes — they
-      are tracked as running aggregates, not derived from the stored
-      samples.
-
-    Alongside either sample store the histogram maintains **fixed
-    log-2 buckets** (one ``frexp`` per record, O(1) memory in the number
-    of distinct magnitudes): bucket ``e`` counts samples in
-    ``[2**(e-1), 2**e)``.  Bucket counts are *exact* and mergeable —
-    :meth:`to_mergeable` exports them and :meth:`merge` adds snapshots
-    from different processes bucket-by-bucket, which is what the pool
-    parent's merged ``/metrics`` exposition is built on.
+    Percentiles are estimated from the buckets with
+    :func:`percentile_from_buckets`, the same estimator the pool's merged
+    ``/metrics``, the SLO block and ``/v1/export`` consumers use: for a
+    true nearest-rank sample ``v > 0`` the estimate lies in ``[v, 2v]``
+    and never exceeds the exact ``max``.  Bucket counts are exact and
+    mergeable — :meth:`to_mergeable` exports them and :meth:`merge` adds
+    snapshots from different processes bucket-by-bucket.  Callers that
+    need exact quantiles (experiment E9) keep their own sample list.
 
     All mutation happens under ``_lock`` so concurrent server threads
     never lose a record (a bare ``+=`` on an attribute is not atomic in
     CPython).  The lock is uncontended on single-threaded bench runs.
     """
 
-    __slots__ = (
-        "name",
-        "max_samples",
-        "_samples",
-        "_sorted",
-        "_count",
-        "_total",
-        "_max",
-        "_min",
-        "_buckets",
-        "_rng",
-        "_lock",
-    )
+    __slots__ = ("name", "_count", "_total", "_max", "_min", "_buckets", "_lock")
 
-    def __init__(self, name: str, max_samples: int | None = None) -> None:
-        if max_samples is not None and max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.max_samples = max_samples
-        self._samples: list[float] = []
-        self._sorted: list[float] | None = None
         self._count = 0
         self._total = 0.0
-        self._max = 0.0
+        self._max = -math.inf
         self._min = math.inf
         #: frexp exponent -> exact sample count (see :func:`bucket_exponent`).
         self._buckets: dict[int, int] = {}
-        self._rng: random.Random | None = (
-            None if max_samples is None else random.Random(hash(name) & 0xFFFFFFFF)
-        )
         self._lock = threading.Lock()
 
     def record(self, value: float) -> None:
-        """Add one sample (O(1) amortized; O(1) memory in reservoir mode)."""
+        """Add one sample (O(1) time; no sample is stored)."""
         exp = bucket_exponent(value)
         with self._lock:
             self._count += 1
@@ -187,31 +111,15 @@ class Histogram:
             if value < self._min:
                 self._min = value
             self._buckets[exp] = self._buckets.get(exp, 0) + 1
-            if self.max_samples is None or len(self._samples) < self.max_samples:
-                self._samples.append(value)
-            else:
-                # Vitter's algorithm R: keep each of the _count samples with
-                # equal probability max_samples / _count
-                slot = self._rng.randrange(self._count)
-                if slot < self.max_samples:
-                    self._samples[slot] = value
-                else:
-                    return  # stored set unchanged: keep the sorted cache
-            self._sorted = None
 
     @property
     def count(self) -> int:
-        """Exact number of recorded samples (both modes)."""
+        """Exact number of recorded samples."""
         return self._count
 
     @property
-    def stored(self) -> int:
-        """Samples currently held (``<= max_samples`` in reservoir mode)."""
-        return len(self._samples)
-
-    @property
     def total(self) -> float:
-        """Exact running sum (both modes)."""
+        """Exact running sum."""
         return self._total
 
     @property
@@ -219,23 +127,18 @@ class Histogram:
         return self._total / self._count if self._count else 0.0
 
     @property
+    def min(self) -> float:
+        """Exact running minimum (0.0 before the first record)."""
+        return self._min if self._count else 0.0
+
+    @property
     def max(self) -> float:
-        """Exact running maximum (both modes)."""
-        return self._max
+        """Exact running maximum (0.0 before the first record)."""
+        return self._max if self._count else 0.0
 
     def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0 <= q <= 100), nearest-rank on sorted data."""
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if not self._samples:
-            return 0.0
-        ordered = self._sorted
-        if ordered is None:
-            ordered = sorted(self._samples)
-            with self._lock:
-                self._sorted = ordered
-        rank = math.ceil(q / 100 * len(ordered)) - 1
-        return ordered[max(0, rank)]
+        """The ``q``-th percentile (0 <= q <= 100), estimated from the buckets."""
+        return percentile_from_buckets(self.to_mergeable(), q)
 
     @property
     def p50(self) -> float:
@@ -250,14 +153,20 @@ class Histogram:
         return self.percentile(99)
 
     def summary(self) -> dict[str, float]:
-        """The reporting payload: count, mean, p50, p95, p99, max."""
+        """The reporting payload: count, mean, p50, p95, p99, max.
+
+        All six values come from one locked snapshot, so they describe
+        the same set of samples even while other threads record.
+        """
+        snap = self.to_mergeable()
+        count = snap["count"]
         return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.max,
+            "count": float(count),
+            "mean": snap["total"] / count if count else 0.0,
+            "p50": percentile_from_buckets(snap, 50),
+            "p95": percentile_from_buckets(snap, 95),
+            "p99": percentile_from_buckets(snap, 99),
+            "max": snap["max"],
         }
 
     def to_mergeable(self) -> dict[str, Any]:
@@ -275,7 +184,7 @@ class Histogram:
                 "count": self._count,
                 "total": self._total,
                 "min": self._min if self._count else 0.0,
-                "max": self._max,
+                "max": self._max if self._count else 0.0,
                 "buckets": {str(exp): n for exp, n in sorted(self._buckets.items())},
             }
 
@@ -290,7 +199,7 @@ class Histogram:
         count = 0
         total = 0.0
         low = math.inf
-        high = 0.0
+        high = -math.inf
         buckets: dict[int, int] = {}
         for snap in snapshots:
             count += int(snap["count"])
@@ -306,7 +215,7 @@ class Histogram:
             "count": count,
             "total": total,
             "min": low if count else 0.0,
-            "max": high,
+            "max": high if count else 0.0,
             "buckets": {str(exp): n for exp, n in sorted(buckets.items())},
         }
 
@@ -319,8 +228,9 @@ def percentile_from_buckets(snapshot: dict[str, Any], q: float) -> float:
 
     Walks the cumulative bucket counts to the nearest-rank bucket and
     returns its inclusive upper edge ``2**e`` — so for a true sample
-    ``v > 0`` the estimate lies in ``[v, 2v)`` (one bucket width), and
-    is clamped to the snapshot's exact ``max``.
+    ``v > 0`` the estimate lies in ``[v, 2v]`` (one bucket width; ``2v``
+    only when ``v`` is a power of two), and is clamped to the
+    snapshot's exact ``max``.
     """
     if not 0 <= q <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
@@ -336,25 +246,19 @@ def percentile_from_buckets(snapshot: dict[str, Any], q: float) -> float:
     return float(snapshot["max"])
 
 
-@guarded_by("_create_lock", "counters", "timers", "histograms")
+@guarded_by("_create_lock", "counters", "histograms")
 class MetricsRegistry:
-    """One measurement run's worth of counters, timers and histograms.
+    """One measurement run's worth of counters and histograms.
 
     Instances are handed out by :func:`repro.metrics.collect`; named
     children are created on first use so hot paths never need to
     pre-register anything.  ``op_counts`` is filled by the contracts
     instrumentation hook (calls per contracted function) when the
     registry was activated with ``ops=True``.
-
-    ``histogram_samples`` bounds every histogram the registry creates
-    (reservoir mode — see :class:`Histogram`); the default ``None``
-    keeps the exact-mode behaviour the bench suite relies on.
     """
 
-    def __init__(self, histogram_samples: int | None = None) -> None:
-        self.histogram_samples = histogram_samples
+    def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
-        self.timers: dict[str, Timer] = {}
         self.histograms: dict[str, Histogram] = {}
         #: qualified contracted-function name -> call count (see
         #: :func:`repro.contracts.decorators.instrument`).
@@ -372,30 +276,17 @@ class MetricsRegistry:
                 found = self.counters.setdefault(name, Counter(name))
         return found
 
-    def timer(self, name: str) -> Timer:
-        found = self.timers.get(name)
-        if found is None:
-            with self._create_lock:
-                found = self.timers.setdefault(name, Timer(name))
-        return found
-
     def histogram(self, name: str) -> Histogram:
         found = self.histograms.get(name)
         if found is None:
             with self._create_lock:
-                found = self.histograms.setdefault(
-                    name, Histogram(name, max_samples=self.histogram_samples)
-                )
+                found = self.histograms.setdefault(name, Histogram(name))
         return found
 
     def snapshot(self) -> dict[str, Any]:
         """A plain-dict view of everything measured (JSON-serializable)."""
         return {
             "counters": {name: c.value for name, c in sorted(self.counters.items())},
-            "timers": {
-                name: {"total": t.total, "laps": t.laps, "mean": t.mean}
-                for name, t in sorted(self.timers.items())
-            },
             "histograms": {
                 name: h.summary() for name, h in sorted(self.histograms.items())
             },
@@ -406,18 +297,13 @@ class MetricsRegistry:
         """The *mergeable* wire format of this registry.
 
         Unlike :meth:`snapshot` (summaries for humans), ``export``
-        carries exact, additive state: counter values, timer totals/laps,
-        op counts, and per-histogram :meth:`Histogram.to_mergeable`
+        carries exact, additive state: counter values, op counts, and per-histogram :meth:`Histogram.to_mergeable`
         bucket snapshots.  ``merge_snapshots`` combines any number of
         these (one per pool worker) into a single equivalent export.
         """
         return {
             "version": 1,
             "counters": {name: c.value for name, c in sorted(self.counters.items())},
-            "timers": {
-                name: {"total": t.total, "laps": t.laps}
-                for name, t in sorted(self.timers.items())
-            },
             "histograms": {
                 name: h.to_mergeable() for name, h in sorted(self.histograms.items())
             },
@@ -428,22 +314,17 @@ class MetricsRegistry:
 def merge_snapshots(exports: list[dict[str, Any]]) -> dict[str, Any]:
     """Merge :meth:`MetricsRegistry.export` payloads into one.
 
-    Counters, timer totals/laps and op counts add; histograms merge
+    Counters and op counts add; histograms merge
     bucket-by-bucket via :meth:`Histogram.merge`.  The result has the
     same shape as a single export, so merging is associative and the
     pool parent can treat N workers as one logical process.
     """
     counters: dict[str, int] = {}
-    timers: dict[str, dict[str, float]] = {}
     histogram_parts: dict[str, list[dict[str, Any]]] = {}
     op_counts: dict[str, int] = {}
     for export in exports:
         for name, value in export.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + int(value)
-        for name, timer in export.get("timers", {}).items():
-            slot = timers.setdefault(name, {"total": 0.0, "laps": 0})
-            slot["total"] += float(timer["total"])
-            slot["laps"] += int(timer["laps"])
         for name, snap in export.get("histograms", {}).items():
             histogram_parts.setdefault(name, []).append(snap)
         for name, calls in export.get("op_counts", {}).items():
@@ -451,7 +332,6 @@ def merge_snapshots(exports: list[dict[str, Any]]) -> dict[str, Any]:
     return {
         "version": 1,
         "counters": dict(sorted(counters.items())),
-        "timers": dict(sorted(timers.items())),
         "histograms": {
             name: Histogram.merge(parts)
             for name, parts in sorted(histogram_parts.items())

@@ -1,19 +1,23 @@
-"""Prometheus text exposition (format 0.0.4) for the metrics registry.
+"""Prometheus text exposition (format 0.0.4) for metrics exports.
 
 ``repro serve`` exposes ``GET /metrics`` as JSON by default; this module
-renders the same registry snapshot in the Prometheus text format so a
-standard scraper can poll the server directly (``Accept: text/plain`` or
-``?format=prom`` selects it).  Mapping:
+renders the same state in the Prometheus text format so a standard
+scraper can poll the server directly (``Accept: text/plain`` or
+``?format=prom`` selects it).  One renderer serves both servers: its
+input is a :meth:`~repro.metrics.core.MetricsRegistry.export` payload —
+a single server's own, or the pool parent's merge of its workers' — plus,
+for the pool, each worker's export for ``{worker="N"}`` attribution.
+Mapping:
 
 * counters  -> ``repro_<name>_total`` (TYPE counter)
-* timers    -> ``repro_<name>_seconds_total`` + ``repro_<name>_laps_total``
-* histograms-> ``repro_<name>`` summary (quantile 0.5/0.95 labels) with
-  ``_count`` and ``_sum`` series
+* histograms-> ``repro_<name>`` (TYPE histogram): cumulative
+  ``_bucket{le="2**e"}`` series from the exact log-2 bucket counts, a
+  ``+Inf`` bucket equal to ``_count``, and ``_sum``
 * op_counts -> ``repro_contract_calls_total{function="..."}``
 * extra gauges (cache sizes etc.) -> ``repro_<name>`` (TYPE gauge)
 
 No client library is involved — the format is plain text and the
-snapshot is already a dict of floats.
+export is already a dict of numbers.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import re
 from typing import Any
 
-from repro.metrics.core import MetricsRegistry
+from repro.metrics.core import bucket_upper_edge
 
 #: Content type a compliant scraper expects.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -51,51 +55,77 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def render_prometheus(
-    registry: MetricsRegistry | None,
-    gauges: dict[str, float] | None = None,
-) -> str:
-    """The registry (and optional extra gauges) in text exposition format.
+def _worker_order(label: str) -> tuple[int, str]:
+    """Numeric order for worker labels ("2" before "10")."""
+    return (len(label), label)
 
-    ``registry`` may be ``None`` (server running without ``collect()``);
-    the gauges are still emitted so the endpoint never 404s mid-scrape.
+
+def render_prometheus(
+    export: dict[str, Any] | None,
+    gauges: dict[str, float] | None = None,
+    workers: dict[str, dict[str, Any]] | None = None,
+    worker_gauges: dict[str, dict[str, float]] | None = None,
+) -> str:
+    """An export payload (and optional extra gauges) in text exposition format.
+
+    ``export`` is one :meth:`MetricsRegistry.export` payload — or a
+    :func:`~repro.metrics.core.merge_snapshots` of several — rendered as
+    unlabeled series; it may be ``None`` (server running without
+    ``collect()``), and the gauges are still emitted so the endpoint
+    never 404s mid-scrape.
+
+    ``workers`` maps a worker label (``"0"``, ``"1"``, ...) to that
+    worker's own export.  When given (the pre-fork pool), ``export`` is
+    their merge and every counter family, plus each histogram's
+    ``_count``/``_sum``, also gets one ``{worker="N"}`` series per worker
+    — so a scraper's ``sum(rate(..._count[1m]))`` works across the pool
+    and ``histogram_quantile`` sees the pool-wide buckets.
+    ``worker_gauges`` get the ``worker`` label too.
     """
     lines: list[str] = []
+    merged_note = " (pool-merged)" if workers is not None else ""
+    workers = workers or {}
 
-    if registry is not None:
-        for name, counter in sorted(registry.counters.items()):
+    def per_worker(section: str, name: str) -> list[tuple[str, Any]]:
+        pairs = []
+        for wid in sorted(workers, key=_worker_order):
+            value = workers[wid].get(section, {}).get(name)
+            if value is not None:
+                pairs.append((f'worker="{_label_value(wid)}"', value))
+        return pairs
+
+    if export is not None:
+        for name, value in export["counters"].items():
             metric = _metric_name(name, "_total")
-            lines.append(f"# HELP {metric} repro counter {name}")
+            lines.append(f"# HELP {metric} repro counter {name}{merged_note}")
             lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {_fmt(counter.value)}")
+            lines.append(f"{metric} {_fmt(value)}")
+            for label, wval in per_worker("counters", name):
+                lines.append(f"{metric}{{{label}}} {_fmt(wval)}")
 
-        for name, timer in sorted(registry.timers.items()):
-            seconds = _metric_name(name, "_seconds_total")
-            lines.append(f"# HELP {seconds} repro timer {name} accumulated seconds")
-            lines.append(f"# TYPE {seconds} counter")
-            lines.append(f"{seconds} {_fmt(timer.total)}")
-            laps = _metric_name(name, "_laps_total")
-            lines.append(f"# HELP {laps} repro timer {name} lap count")
-            lines.append(f"# TYPE {laps} counter")
-            lines.append(f"{laps} {_fmt(timer.laps)}")
-
-        for name, histogram in sorted(registry.histograms.items()):
+        for name, snap in export["histograms"].items():
             metric = _metric_name(name)
-            lines.append(f"# HELP {metric} repro histogram {name}")
-            lines.append(f"# TYPE {metric} summary")
-            lines.append(f'{metric}{{quantile="0.5"}} {_fmt(histogram.p50)}')
-            lines.append(f'{metric}{{quantile="0.95"}} {_fmt(histogram.p95)}')
-            lines.append(f'{metric}{{quantile="0.99"}} {_fmt(histogram.p99)}')
-            lines.append(f"{metric}_count {_fmt(histogram.count)}")
-            lines.append(f"{metric}_sum {_fmt(histogram.total)}")
+            lines.append(f"# HELP {metric} repro histogram {name}{merged_note}")
+            lines.append(f"# TYPE {metric} histogram")
+            cumulative = 0
+            for exp in sorted(int(key) for key in snap["buckets"]):
+                edge = bucket_upper_edge(exp)
+                if edge == float("inf"):
+                    break  # folded into the final +Inf bucket
+                cumulative += int(snap["buckets"][str(exp)])
+                lines.append(f'{metric}_bucket{{le="{_fmt(edge)}"}} {_fmt(cumulative)}')
+            lines.append(f'{metric}_bucket{{le="+Inf"}} {_fmt(snap["count"])}')
+            lines.append(f"{metric}_count {_fmt(snap['count'])}")
+            lines.append(f"{metric}_sum {_fmt(snap['total'])}")
+            for label, wsnap in per_worker("histograms", name):
+                lines.append(f"{metric}_count{{{label}}} {_fmt(wsnap['count'])}")
+                lines.append(f"{metric}_sum{{{label}}} {_fmt(wsnap['total'])}")
 
-        if registry.op_counts:
+        if export["op_counts"]:
             metric = "repro_contract_calls_total"
-            lines.append(
-                f"# HELP {metric} calls per contracted function (instrument())"
-            )
+            lines.append(f"# HELP {metric} calls per contracted function{merged_note}")
             lines.append(f"# TYPE {metric} counter")
-            for function, calls in sorted(registry.op_counts.items()):
+            for function, calls in export["op_counts"].items():
                 lines.append(
                     f'{metric}{{function="{_label_value(function)}"}} {_fmt(calls)}'
                 )
@@ -106,106 +136,9 @@ def render_prometheus(
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_fmt(value)}")
 
-    return "\n".join(lines) + "\n" if lines else ""
-
-
-def render_merged_prometheus(
-    worker_exports: dict[str, dict[str, Any]],
-    gauges: dict[str, float] | None = None,
-    worker_gauges: dict[str, dict[str, float]] | None = None,
-) -> str:
-    """Pool-wide text exposition from per-worker mergeable exports.
-
-    ``worker_exports`` maps a worker label (``"0"``, ``"1"``, ...) to that
-    worker's :meth:`MetricsRegistry.export` payload.  Each family gets
-
-    * one **merged** unlabeled series (counts/totals added exactly via
-      :func:`repro.metrics.core.merge_snapshots`), and
-    * one ``{worker="N"}``-labeled series per worker for attribution.
-
-    Histograms render as true Prometheus ``histogram`` type: cumulative
-    ``_bucket{le="2**e"}`` series from the merged log-2 buckets, plus
-    ``_count``/``_sum`` (merged unlabeled and per-worker labeled) — so a
-    scraper's ``sum(rate(..._count[1m]))`` works across the pool and
-    ``histogram_quantile`` sees real buckets.  ``gauges`` are pool-level
-    (unlabeled); ``worker_gauges`` get the ``worker`` label.
-    """
-    from repro.metrics.core import bucket_upper_edge, merge_snapshots
-
-    merged = merge_snapshots(list(worker_exports.values()))
-    workers = sorted(worker_exports, key=lambda w: (len(w), w))
-    lines: list[str] = []
-
-    def per_worker(section: str, name: str) -> list[tuple[str, Any]]:
-        pairs = []
-        for wid in workers:
-            value = worker_exports[wid].get(section, {}).get(name)
-            if value is not None:
-                pairs.append((wid, value))
-        return pairs
-
-    for name, value in merged["counters"].items():
-        metric = _metric_name(name, "_total")
-        lines.append(f"# HELP {metric} repro counter {name} (pool-merged)")
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_fmt(value)}")
-        for wid, wval in per_worker("counters", name):
-            lines.append(f'{metric}{{worker="{_label_value(wid)}"}} {_fmt(wval)}')
-
-    for name, timer in merged["timers"].items():
-        seconds = _metric_name(name, "_seconds_total")
-        lines.append(f"# HELP {seconds} repro timer {name} accumulated seconds")
-        lines.append(f"# TYPE {seconds} counter")
-        lines.append(f"{seconds} {_fmt(timer['total'])}")
-        for wid, wval in per_worker("timers", name):
-            lines.append(
-                f'{seconds}{{worker="{_label_value(wid)}"}} {_fmt(wval["total"])}'
-            )
-        laps = _metric_name(name, "_laps_total")
-        lines.append(f"# HELP {laps} repro timer {name} lap count")
-        lines.append(f"# TYPE {laps} counter")
-        lines.append(f"{laps} {_fmt(timer['laps'])}")
-        for wid, wval in per_worker("timers", name):
-            lines.append(
-                f'{laps}{{worker="{_label_value(wid)}"}} {_fmt(wval["laps"])}'
-            )
-
-    for name, snap in merged["histograms"].items():
-        metric = _metric_name(name)
-        lines.append(f"# HELP {metric} repro histogram {name} (pool-merged)")
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for exp in sorted(int(key) for key in snap["buckets"]):
-            edge = bucket_upper_edge(exp)
-            if edge == float("inf"):
-                break  # folded into the final +Inf bucket
-            cumulative += int(snap["buckets"][str(exp)])
-            lines.append(f'{metric}_bucket{{le="{_fmt(edge)}"}} {_fmt(cumulative)}')
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {_fmt(snap["count"])}')
-        lines.append(f"{metric}_count {_fmt(snap['count'])}")
-        lines.append(f"{metric}_sum {_fmt(snap['total'])}")
-        for wid, wsnap in per_worker("histograms", name):
-            label = f'worker="{_label_value(wid)}"'
-            lines.append(f"{metric}_count{{{label}}} {_fmt(wsnap['count'])}")
-            lines.append(f"{metric}_sum{{{label}}} {_fmt(wsnap['total'])}")
-
-    if merged["op_counts"]:
-        metric = "repro_contract_calls_total"
-        lines.append(f"# HELP {metric} calls per contracted function (pool-merged)")
-        lines.append(f"# TYPE {metric} counter")
-        for function, calls in merged["op_counts"].items():
-            lines.append(
-                f'{metric}{{function="{_label_value(function)}"}} {_fmt(calls)}'
-            )
-
-    for name, value in sorted((gauges or {}).items()):
-        metric = _metric_name(name)
-        lines.append(f"# HELP {metric} repro gauge {name}")
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {_fmt(value)}")
-
-    for wid in sorted(worker_gauges or {}, key=lambda w: (len(w), w)):
-        for name, value in sorted((worker_gauges or {})[wid].items()):
+    worker_gauges = worker_gauges or {}
+    for wid in sorted(worker_gauges, key=_worker_order):
+        for name, value in sorted(worker_gauges[wid].items()):
             metric = _metric_name(name)
             lines.append(
                 f'{metric}{{worker="{_label_value(wid)}"}} {_fmt(value)}'

@@ -3,8 +3,8 @@
 The hot paths (``storage/trie.py``, ``core/next_solution.py``,
 ``core/distance_index.py``, ``core/enumeration.py``,
 ``covers/neighborhood_cover.py``) call the module-level hooks below —
-:func:`count`, :func:`observe`, :func:`delay_recorder`,
-:func:`time_block` — unconditionally.  Outside a :func:`collect` context
+:func:`count`, :func:`observe`, :func:`delay_recorder` —
+unconditionally.  Outside a :func:`collect` context
 there is no active registry and every hook is a single ``is None`` check,
 so the paper's constant-time guarantees are unaffected; the hooks are
 themselves ``@constant_time`` so ``repro lint`` verifies that calling
@@ -43,14 +43,14 @@ def count(name: str, amount: int = 1) -> None:
         _ACTIVE.counter(name).inc(amount)
 
 
-@constant_time(note="one None check + one histogram append when collecting")
+@constant_time(note="one None check + one histogram record when collecting")
 def observe(name: str, value: float) -> None:
     """Record one sample into the named histogram if collecting."""
     if _ACTIVE is not None:
         _ACTIVE.histogram(name).record(value)
 
 
-@constant_time(note="one None check; the returned recorder is one append")
+@constant_time(note="one None check; the returned recorder is one bucket add")
 def delay_recorder(name: str) -> Callable[[float], None] | None:
     """The named histogram's ``record`` method, or None when not collecting.
 
@@ -63,23 +63,7 @@ def delay_recorder(name: str) -> Callable[[float], None] | None:
 
 
 @contextmanager
-def time_block(name: str) -> Iterator[None]:
-    """Time one block into the named :class:`Timer` (no-op when inactive)."""
-    if _ACTIVE is None:
-        yield
-        return
-    timer = _ACTIVE.timer(name)
-    timer.start()
-    try:
-        yield
-    finally:
-        timer.stop()
-
-
-@contextmanager
-def collect(
-    ops: bool = True, histogram_samples: int | None = None
-) -> Iterator[MetricsRegistry]:
+def collect(ops: bool = True) -> Iterator[MetricsRegistry]:
     """Collect metrics from everything that runs inside the context.
 
     Parameters
@@ -90,17 +74,16 @@ def collect(
         function names to call counts.  Patching costs one extra Python
         call per contracted call, so measurement runs that only need the
         explicit counters/histograms can pass ``ops=False``.
-    histogram_samples:
-        Bound every histogram to a reservoir of this many samples
-        (exact running count/total/mean/max either way).  ``None``
-        (default) keeps every sample — right for finite bench runs,
-        wrong for a long-lived server.
+
+    Histograms keep bucket counts, never samples, so a registry's memory
+    stays flat however long the context lives (``repro serve`` holds one
+    for its lifetime).
 
     Contexts nest: the innermost registry receives the hooks, and the
     previous one is restored on exit.
     """
     global _ACTIVE
-    registry = MetricsRegistry(histogram_samples=histogram_samples)
+    registry = MetricsRegistry()
     previous = _ACTIVE
     _ACTIVE = registry
     try:

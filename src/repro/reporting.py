@@ -1,12 +1,12 @@
 """Benchmark reporting: turn benchmark JSON into experiment tables.
 
-``python -m repro bench-suite`` (or, historically, ``pytest benchmarks/
---benchmark-only --benchmark-json=...``) produces a machine-readable
-record; :func:`render_report` groups it by experiment (one group per
-``bench_*`` file), sorts each group by the swept parameter, and emits
-the markdown tables EXPERIMENTS.md embeds.  Both producers share the
-``benchmarks[*].fullname/name/stats/extra_info`` layout, so one renderer
-serves both.
+``python -m repro bench-suite`` produces a machine-readable record;
+:func:`render_report` groups it by experiment group (the ``<group>`` of
+each record's ``benchmarks/<group>.py::<name>`` id — a group name kept
+for format stability, not a file), sorts each group by the swept
+parameter, and emits the markdown tables EXPERIMENTS.md embeds.
+:data:`EXPERIMENTS` titles every group the suite records, in report
+order.
 
 Malformed input — a missing file, an empty/truncated write, or invalid
 JSON — raises :exc:`ReportError`; the CLI turns that into a one-line
@@ -33,7 +33,7 @@ class ReportError(ReproError):
 
     exit_code = 2
 
-#: bench file stem -> (experiment id, the claim the series checks)
+#: experiment group -> (experiment id, the claim the series checks)
 EXPERIMENTS = {
     "bench_storing": ("E1", "Storing Theorem: O(1) lookup, O(n^eps) update (Thm 3.1)"),
     "bench_distance": ("E3", "Distance testing O(1) after pseudo-linear prep (Prop 4.2)"),
@@ -48,6 +48,10 @@ EXPERIMENTS = {
     "bench_crossover": ("E12", "Index vs materialize-everything crossover"),
     "bench_counting": ("E13", "Counting without enumerating ([18])"),
     "bench_dynamic": ("E14", "Color flips through the versioned index (Sec. 6 direction)"),
+    "bench_persist": ("E15", "Snapshot warm load beats cold preprocessing (persistence)"),
+    "bench_serving": ("E16", "Pre-fork pool: throughput, open-loop p99, shared arenas"),
+    "bench_updates": ("E17", "Edge updates: ball-local repair equals a rebuild (Sec. 6)"),
+    "bench_profiler": ("E18", "Sampling-profiler overhead on enumeration (observability)"),
     "bench_ablation": ("EA", "Ablations of the engineering knobs"),
 }
 
@@ -105,7 +109,7 @@ def load_results(path: str | Path) -> list[dict]:
 
 
 def group_by_experiment(benchmarks: list[dict]) -> dict[str, list[dict]]:
-    """Bucket benchmark entries by their bench_* file, sorted by parameter."""
+    """Bucket benchmark entries by experiment group, sorted by parameter."""
     groups: dict[str, list[dict]] = defaultdict(list)
     for bench in benchmarks:
         stem = Path(bench.get("fullname", "")).name.split(".py")[0]

@@ -213,7 +213,11 @@ class RequestHandler(BaseHTTPRequestHandler):
             gauges["watchdog"] = self.watchdog.snapshot()
         if self.trace_buffer is not None:
             gauges["trace.buffered"] = len(self.trace_buffer)
-        body = render_prometheus(_metrics_active(), flatten_gauges(gauges))
+        registry = _metrics_active()
+        body = render_prometheus(
+            registry.export() if registry is not None else None,
+            flatten_gauges(gauges),
+        )
         self._reply_text(200, body, _PROM_CONTENT_TYPE)
 
     def _get_export(self) -> None:

@@ -55,7 +55,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro import __version__
 from repro.metrics.core import merge_snapshots
 from repro.metrics.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
-from repro.metrics.prometheus import flatten_gauges, render_merged_prometheus
+from repro.metrics.prometheus import flatten_gauges, render_prometheus
 from repro.obs.slo import aggregate_guarantee, endpoint_latency_summary
 from repro.obs.stitch import stitch_traces
 from repro.persist import SNAPSHOT_SUFFIX, SnapshotError, load_index, read_header
@@ -448,7 +448,7 @@ class PoolServer:
         )
         server = _AdoptedHTTPServer(link.sock, handler)
         try:
-            with metrics.collect(ops=False, histogram_samples=8192):
+            with metrics.collect(ops=False):
                 server.serve_forever()
         except SystemExit:
             pass
@@ -646,8 +646,11 @@ class PoolServer:
             {k: v for k, v in self.pool_stats().items() if k != "worker_pids"},
             "pool",
         )
-        return render_merged_prometheus(
-            worker_exports, gauges=pool_gauges, worker_gauges=worker_gauges
+        return render_prometheus(
+            merge_snapshots(list(worker_exports.values())),
+            gauges=pool_gauges,
+            workers=worker_exports,
+            worker_gauges=worker_gauges,
         )
 
     # -- cross-process traces / profiles ------------------------------------

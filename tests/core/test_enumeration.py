@@ -49,7 +49,7 @@ def test_solution_at_very_last_tuple():
 def test_enumerate_with_delays_returns_both():
     g = random_tree(25, seed=1)
     index = NextSolutionIndex(g, parse_formula("E(x, y)"), (x, y), TINY)
-    sols, delays = enumerate_with_delays(index)
+    sols, delays = enumerate_with_delays(enumerate_solutions(index))
     assert len(sols) == len(delays) == 2 * g.num_edges
     assert all(d >= 0 for d in delays)
 

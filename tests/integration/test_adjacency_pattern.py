@@ -68,6 +68,26 @@ def test_fof_query_indexed_and_exact():
         assert a != b and (a, b) not in friends
 
 
+def test_friend_count_matches_database():
+    """Experiment E11 end to end: |Friend(x, y)| over A'(D) equals |Friend|."""
+    rng = random.Random(0)
+    people = 12
+    db = Database(Schema({"Friend": 2, "Likes": 2}), domain_size=people)
+    for p in range(1, people):
+        buddy = rng.randrange(max(0, p - 5), p)
+        db.add("Friend", (p, buddy))
+        db.add("Friend", (buddy, p))
+    for _ in range(people):
+        a, b = rng.randrange(people), rng.randrange(people)
+        if a != b:
+            db.add("Likes", (a, b))
+    enc = adjacency_graph(db)
+    psi = rewrite_query(RelationAtom("Friend", (x, y)))
+    index = build_index(enc.graph, psi, free_order=(x, y))
+    assert index.method == "indexed"
+    assert index.count() == len(db.relation("Friend"))
+
+
 def test_negated_relation_alone():
     db = network(people=12)
     enc = adjacency_graph(db)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from urllib.error import HTTPError
@@ -107,6 +108,43 @@ def test_metrics_endpoint(client, spec):
     assert dump["collecting"] is True
     assert dump["cache"]["hits"] >= 1
     assert "serve.cache_hits" in dump["registry"]["counters"]
+
+
+def test_metrics_percentiles_are_the_export_bucket_estimates(client, spec):
+    """One histogram model: /metrics JSON quantiles come from /v1/export's buckets."""
+    with metrics.collect(ops=False):
+        list(client.enumerate(spec, QUERY, page_size=50))
+        before = client.export()["metrics"]["histograms"]
+        dump = client.metrics()["registry"]["histograms"]
+        after = client.export()["metrics"]["histograms"]
+    # a request's latency lands just after its response, so compare only
+    # histograms no request touched between the three reads
+    stable = [name for name in dump if before.get(name) == after.get(name)]
+    assert "enumeration.delay_seconds" in stable
+    for name in stable:
+        for q in (50, 95, 99):
+            assert dump[name][f"p{q}"] == metrics.percentile_from_buckets(after[name], q)
+        assert dump[name]["count"] == after[name]["count"]
+        assert dump[name]["max"] == after[name]["max"]
+
+
+def test_prometheus_histograms_are_cumulative(client, spec):
+    with metrics.collect(ops=False):
+        list(client.enumerate(spec, QUERY, page_size=50))
+        text = client.prometheus()
+    families = re.findall(r"^# TYPE (\S+) (\w+)$", text, re.M)
+    histograms = [name for name, kind in families if kind == "histogram"]
+    assert "summary" not in {kind for _, kind in families}
+    assert "repro_enumeration_delay_seconds" in histograms
+    for metric in histograms:
+        buckets = re.findall(
+            rf'^{metric}_bucket\{{le="([^"]+)"\}} (\d+)$', text, re.M
+        )
+        counts = [int(count) for _, count in buckets]
+        assert counts == sorted(counts)  # cumulative
+        assert buckets[-1][0] == "+Inf"
+        total = re.search(rf"^{metric}_count (\d+)$", text, re.M)
+        assert total is not None and int(total.group(1)) == counts[-1]
 
 
 # ----------------------------------------------------------------------

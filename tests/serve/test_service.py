@@ -220,7 +220,7 @@ def test_metrics_snapshot_with_active_registry(service, spec):
     registry = snapshot["registry"]
     engine_keys = [
         name
-        for section in ("counters", "timers", "histograms")
+        for section in ("counters", "histograms")
         for name in registry[section]
         if name.startswith("engine.")
     ]

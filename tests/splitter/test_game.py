@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graphs.colored_graph import ColoredGraph
-from repro.graphs.generators import grid, path, random_tree, star
+from repro.graphs.generators import grid, path, random_tree, star, subdivided_clique
 from repro.splitter.game import SplitterGame, play_game, rounds_to_win, splitter_move
 from repro.splitter.strategies import GreedySeparatorStrategy
 
@@ -60,6 +60,25 @@ def test_rounds_bounded_for_trees():
     # trees are (very) nowhere dense: lambda(r) stays small
     g = random_tree(400, seed=7)
     assert rounds_to_win(g, 2, trials=4) <= 8
+
+
+def test_subdivided_clique_rounds_grow_at_radius_4():
+    """Experiment E5's negative control: somewhere dense means no lambda(r).
+
+    At radius 4 every branch vertex of a once-subdivided K_k sees all the
+    others, so Connector keeps the game alive for about k rounds, while
+    trees of growing size stay flat.  (At radius 2 the control is no
+    harder than a tree, so the radius matters.)
+    """
+    tree_rounds = [rounds_to_win(random_tree(n, seed=1), 4, trials=2) for n in (256, 1024)]
+    clique_rounds = [
+        rounds_to_win(subdivided_clique(k, subdivisions=1), 4, trials=2)
+        for k in (8, 16, 24)
+    ]
+    assert max(tree_rounds) <= 8
+    assert clique_rounds == sorted(set(clique_rounds))  # strictly growing in k
+    assert all(rounds >= k for rounds, k in zip(clique_rounds, (8, 16, 24)))
+    assert clique_rounds[-1] > 2 * max(tree_rounds)
 
 
 def test_splitter_move_stays_in_ball():

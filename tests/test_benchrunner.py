@@ -1,5 +1,6 @@
 """Unit tests for the self-contained bench-suite runner."""
 
+import dataclasses
 import json
 import re
 
@@ -31,6 +32,9 @@ TINY = Profile(
     trie_keys=16,
     splitter_trials=1,
 )
+
+#: Experiments whose full profile runs un-gated side sweeps (EA last).
+FULL_SWEEPS = ["E3", "E4", "E5", "E10", "EA"]
 
 #: The parameter regex scripts/make_experiments.py extracts series with.
 _PARAM_RE = re.compile(r"\[(?:[a-z0-9]+-)?(\d+)\]$")
@@ -90,6 +94,25 @@ def test_run_suite_e9_delay_histogram():
         extra = record["extra_info"]
         assert extra["solutions"] > 0
         assert extra["delay_p50_us"] <= extra["delay_p95_us"] <= extra["delay_max_us"]
+
+
+def test_full_profile_adds_the_side_sweeps():
+    side = {
+        "test_preprocess[grid-32]", "test_radius_sweep[4]",
+        "test_build_cover[tree-64]", "test_radius_sweep[8]", "test_kernels[64]",
+        "test_rounds_vs_radius[4]", "test_weak_accessibility[64]",
+        "test_bag_threshold[220]", "test_distance_recursion_depth[1]",
+    }
+    payload = run_suite(dataclasses.replace(TINY, name="full"), FULL_SWEEPS)
+    assert validate_results(payload) == []
+    names = {record["name"] for record in payload["benchmarks"]}
+    assert side <= names
+    for name in side:
+        assert _PARAM_RE.search(name), name
+    # the quick profile keeps its record set: EA stays opt-in, and the
+    # side sweeps of E3/E4/E5/E10 are full-only
+    quick = run_suite(TINY, FULL_SWEEPS[:-1])
+    assert not side & {record["name"] for record in quick["benchmarks"]}
 
 
 def test_run_suite_rejects_unknown_experiment():

@@ -7,15 +7,20 @@ The pool parent reconstructs one logical registry from N worker exports
 * splitting a sample stream across processes and merging the snapshots
   loses nothing — bucket counts, counts, min and max come back *exactly*,
   totals up to float-summation reordering (~1 ulp);
-* a percentile estimated from the merged log-2 buckets is within one
-  bucket width of the true sample percentile (``estimate in [v, 2v)``);
+* a histogram's count, total, mean, min and max are exact, whatever the
+  samples;
+* a percentile estimated from the log-2 buckets — merged, or a single
+  histogram's own :meth:`Histogram.percentile` — is within one bucket
+  width of the true sample percentile (``v <= estimate <= 2v``);
 * concurrent recording on one histogram is linearizable — 8 threads'
   worth of records all land, exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import threading
 
 from hypothesis import given, settings
@@ -59,6 +64,32 @@ def test_bucket_exponent_brackets_value():
 def test_bucket_upper_edge_saturates_to_inf():
     assert bucket_upper_edge(1024) == math.inf
     assert bucket_upper_edge(2000) == math.inf
+
+
+# ----------------------------------------------------------------------
+# exact aggregates
+
+
+@given(
+    samples=st.lists(
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e9, max_value=1e9),
+        min_size=1,
+        max_size=200,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_histogram_aggregates_are_exact(samples):
+    h = Histogram("h")
+    for value in samples:
+        h.record(value)
+    # a left-to-right fold is record()'s own summation order; the builtin
+    # sum() compensates float rounding on Python >= 3.12 and may differ
+    expected = functools.reduce(operator.add, samples, 0.0)
+    assert h.count == len(samples)
+    assert h.total == expected
+    assert h.mean == expected / len(samples)
+    assert h.min == min(samples)
+    assert h.max == max(samples)
 
 
 # ----------------------------------------------------------------------
@@ -118,15 +149,17 @@ def test_bucket_percentile_within_one_bucket_width(samples, q):
     for value in samples:
         h.record(value)
     snapshot = h.to_mergeable()
-    estimate = percentile_from_buckets(snapshot, q)
     ordered = sorted(samples)
     rank = max(1, math.ceil(q / 100 * len(ordered)))
     exact = ordered[rank - 1]
     # the estimate is the inclusive upper edge of exact's bucket (clamped
     # to max), so it never undershoots and overshoots by <= one doubling
-    # (== only when exact sits exactly on a power-of-two edge)
-    assert exact <= estimate <= 2 * exact
-    assert estimate <= snapshot["max"]
+    # (== only when exact sits exactly on a power-of-two edge); the
+    # histogram's own percentile() is the same estimator
+    for estimate in (percentile_from_buckets(snapshot, q), h.percentile(q)):
+        assert exact <= estimate <= 2 * exact
+        assert estimate <= snapshot["max"]
+    assert h.percentile(q) == percentile_from_buckets(snapshot, q)
 
 
 def test_percentile_from_empty_snapshot_is_zero():
@@ -168,7 +201,7 @@ def test_merge_snapshots_of_nothing_is_empty():
 
 
 def test_concurrent_records_all_land():
-    h = Histogram("h", max_samples=64)  # reservoir mode, like the servers
+    h = Histogram("h")
     threads = 8
     per_thread = 2_000
     values = [1.0 + (i % 7) for i in range(per_thread)]

@@ -103,6 +103,39 @@ def test_numeric_experiment_order():
     report = render_benchmarks([entry("bench_sparsity"), entry("bench_distance")])
     assert report.index("E3") < report.index("E10")  # numeric, not lexicographic
 
+    stems = ("bench_updates", "bench_persist", "bench_serving", "bench_profiler")
+    report = render_benchmarks([entry(stem) for stem in stems])
+    assert "### ?" not in report
+    positions = [report.index(f"### {e} — ") for e in ("E15", "E16", "E17", "E18")]
+    assert positions == sorted(positions)
+
+
+def test_every_recorded_group_has_a_title():
+    """Each ``record(experiment, group, ...)`` call in the runner is titled."""
+    import ast
+    import inspect
+
+    from repro import benchrunner
+    from repro.reporting import EXPERIMENTS
+
+    recorded = set()
+    for node in ast.walk(ast.parse(inspect.getsource(benchrunner))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "record"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "self"
+        ):
+            experiment, group = (ast.literal_eval(arg) for arg in node.args[:2])
+            recorded.add((experiment, group))
+    assert {experiment for experiment, _ in recorded} == set(
+        benchrunner.BenchSuite.RUNNERS
+    )
+    for experiment, group in recorded:
+        assert EXPERIMENTS[group][0] == experiment, group
+    assert {rule.group for rule in benchrunner.GATE_RULES} <= {g for _, g in recorded}
+
 
 # ----------------------------------------------------------------------
 # hardened error handling: one-line ReportError, exit code 2, no traceback
