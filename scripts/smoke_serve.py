@@ -31,7 +31,10 @@ parent's ``/metrics`` serves one *merged* Prometheus exposition whose
 histogram counts equal the per-worker sums, a traced request comes back
 from ``/v1/traces`` as one stitched cross-process tree (``pool.route``
 over the worker's request span), ``/v1/profile`` returns merged
-collapsed stacks, and SIGINT tears the whole process family down.
+collapsed stacks, an update after the pool sat idle past the workers'
+``--request-timeout`` is applied at the next version (the router drops
+keep-alive sockets the workers closed meanwhile), and SIGINT tears the
+whole process family down.
 
 Run from the repo root:
 ``python scripts/smoke_serve.py [--paranoid] [--pool N]``.
@@ -65,6 +68,9 @@ from repro.serve.client import (  # noqa: E402
 QUERY = "exists z. E(x, z) & E(z, y)"
 SPEC = family_spec("random_tree", 48, seed=9)
 CLIENTS = 8
+#: The pool leg's --request-timeout: workers close keep-alive connections
+#: idle this long, which the leg's last update waits out.
+POOL_REQUEST_TIMEOUT = 2.0
 
 _checks = 0
 
@@ -117,6 +123,7 @@ def run_pool(workers: int) -> int:
             "--snapshot-dir", tmp,
             "--pool-workers", str(workers),
             "--shards", str(2 * workers),
+            "--request-timeout", f"{POOL_REQUEST_TIMEOUT:g}",
         ])
         print(f"pool up at {url} ({workers} workers); "
               f"oracle has {len(solutions)} solutions")
@@ -314,6 +321,13 @@ def run_pool(workers: int) -> int:
                 and profiled["profile"]["samples"] > 0
                 and len(profiled["profile"]["stacks"]) > 0,
                 "/v1/profile merges non-empty collapsed stacks",
+            )
+
+            # --- an update after the pool sat idle ----------------------
+            time.sleep(POOL_REQUEST_TIMEOUT + 1.0)
+            check(
+                client.update(spec, query, "insert", non_edge) == 3,
+                "update after an idle wait past --request-timeout lands at version 3",
             )
         finally:
             proc.send_signal(signal.SIGINT)

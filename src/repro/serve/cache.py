@@ -165,6 +165,18 @@ class IndexCache:
         :class:`TooManyBuilds`.
         """
         key = self.fingerprint(graph, query, free_order, method, graph_digest_hint)
+        return self.get_keyed(key, graph, query, free_order, method)
+
+    def get_keyed(
+        self,
+        key: str,
+        graph: ColoredGraph,
+        query: Formula | str,
+        free_order: Sequence[Var | str] | None = None,
+        method: str = "auto",
+    ) -> tuple[QueryIndex, str]:
+        """:meth:`get` for a caller that already holds the request's
+        :meth:`fingerprint` ``key`` (so it is computed once per request)."""
         with _trace_span("cache.get", fingerprint=key[:12]) as sp:
             index, status = self._get(key, graph, query, free_order, method)
             if sp is not None:

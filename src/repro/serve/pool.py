@@ -18,10 +18,14 @@ pre-fork shape instead:
   run on as many cores as there are workers;
 * the parent then serves the public port as a thin **router**: it reads
   each request, computes a cheap (graph, query) routing key *without
-  loading anything*, and proxies the request to ``shard % workers`` over
-  persistent keep-alive connections.  Requests for the same key always
-  land on the same worker, so post-fork index builds shard the warm LRU
+  loading anything*, and relays the request to ``shard % workers`` as
+  re-framed bytes over pooled raw keep-alive sockets
+  (:meth:`PoolServer.forward`).  Requests for the same key always land
+  on the same worker, so post-fork index builds shard the warm LRU
   instead of duplicating it in every process.
+
+Every response, the router's own and the relayed ones, reaches the
+client in one write (:func:`repro.serve.http.send_reply`).
 
 The routing key deliberately mirrors :meth:`GraphStore._spec` (family
 tuple, content digests, path string) rather than the persist fingerprint
@@ -38,16 +42,17 @@ pool, not of any one worker.
 
 from __future__ import annotations
 
-import http.client
+import contextlib
 import json
 import logging
 import os
-import queue
+import select
 import signal
 import socket
 import threading
 import time
 import zlib
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
@@ -66,6 +71,7 @@ from repro.serve.http import (
     build_handler,
     hold_response,
     read_request_body,
+    send_reply,
 )
 from repro.serve.service import QueryService, ServeError
 from repro.storage.shared import SharedArena, share_index, shared_map_stats
@@ -81,6 +87,14 @@ logger = logging.getLogger("repro.serve.pool")
 #: Extra LRU headroom beyond the preloaded snapshots, so serving traffic
 #: cannot evict what the parent deliberately warmed.
 _PRELOAD_SLACK = 4
+
+#: Bounds on a worker reply's head, the standard library HTTP client's:
+#: a longer line or more header lines is a transport error, not a wait.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: Worker reply headers the router passes back to its client.
+_RELAYED_HEADERS = (b"content-type", b"x-trace-id")
 
 
 # ----------------------------------------------------------------------
@@ -156,32 +170,135 @@ class _AdoptedHTTPServer(ThreadingHTTPServer):
         self.daemon_threads = True
 
 
+class _BadReply(Exception):
+    """A worker reply the relay cannot frame (a transport error)."""
+
+
+class _Relay:
+    """One raw keep-alive socket to a worker, with its read buffer."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, port: int, timeout: float | None) -> None:
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reader = self.sock.makefile("rb")
+
+    def stale(self) -> bool:
+        """Readable while idle: the worker has closed it (its EOF is queued)."""
+        poller = select.poll()
+        poller.register(self.sock, select.POLLIN)
+        return bool(poller.poll(0))
+
+    def exchange(self, request: bytes) -> tuple[int, list[tuple[str, str]], bytes, bool]:
+        """Send one framed request, read one reply.
+
+        Returns ``(status, relayed headers, body, reusable)``.  Raises
+        ``OSError`` (including the socket timeout) or :class:`_BadReply`:
+        a garbage status line, an over-long line, more than
+        ``_MAX_HEADERS`` headers, no valid ``Content-Length``, or a short
+        body.  ``reusable`` is False after an HTTP/1.0 or
+        ``Connection: close`` reply.
+        """
+        self.sock.sendall(request)
+        reader = self.reader
+        line = reader.readline(_MAX_LINE + 1)
+        if not line:
+            raise _BadReply("worker closed the connection without replying")
+        parts = line.split(None, 2)
+        if (
+            len(line) > _MAX_LINE
+            or len(parts) < 2
+            or not parts[0].startswith(b"HTTP/")
+            or len(parts[1]) != 3
+            or not parts[1].isdigit()
+        ):
+            raise _BadReply(f"bad status line {line[:64]!r}")
+        reusable = parts[0] == b"HTTP/1.1"
+        relayed: list[tuple[str, str]] = []
+        length = None
+        for _ in range(_MAX_HEADERS + 1):
+            line = reader.readline(_MAX_LINE + 1)
+            if line in (b"\r\n", b"\n"):
+                break
+            if len(line) > _MAX_LINE or not line.endswith(b"\n"):
+                raise _BadReply("reply header line too long or cut off")
+            name, sep, value = line.partition(b":")
+            if not sep:
+                raise _BadReply(f"bad reply header line {line[:64]!r}")
+            key = name.strip().lower()
+            value = value.strip()
+            if key == b"content-length":
+                if length is not None or not value.isdigit():
+                    raise _BadReply(f"bad Content-Length {value[:64]!r}")
+                length = int(value)
+            elif key == b"connection":
+                if b"close" in (token.strip() for token in value.lower().split(b",")):
+                    reusable = False
+            elif key in _RELAYED_HEADERS:
+                relayed.append((name.decode("latin-1"), value.decode("latin-1")))
+        else:
+            raise _BadReply(f"more than {_MAX_HEADERS} reply headers")
+        if length is None:
+            raise _BadReply("reply without a Content-Length")
+        body = reader.read(length)
+        if len(body) != length:
+            raise _BadReply(f"reply body cut off at {len(body)} of {length} bytes")
+        return int(parts[1]), relayed, body, reusable
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+def _frame(
+    method: str, path: str, port: int, headers: dict[str, str], body: bytes | None
+) -> bytes:
+    """One request as a worker reads it: request line, ``Host``, the
+    passed-through headers, ``Content-Length``, body."""
+    payload = body or b""
+    head = [f"{method} {path} HTTP/1.1\r\nHost: 127.0.0.1:{port}\r\n"]
+    head += [f"{name}: {value}\r\n" for name, value in headers.items()]
+    head.append(f"Content-Length: {len(payload)}\r\n\r\n")
+    return "".join(head).encode("latin-1") + payload
+
+
 class _WorkerLink:
-    """Parent-side handle on one worker: socket, pid, connection pool."""
+    """Parent-side handle on one worker: socket, pid, relay-socket pool."""
 
     def __init__(self, wid: int, sock: socket.socket) -> None:
         self.wid = wid
         self.sock = sock
         self.port: int = sock.getsockname()[1]
         self.pid: int | None = None
-        self._conns: queue.LifoQueue = queue.LifoQueue()
+        # LIFO, so the warmest socket goes out first; a relay belongs to
+        # one router thread between get_conn and put_conn
+        self._conns: deque[_Relay] = deque()
 
-    def get_conn(self, timeout: float | None) -> http.client.HTTPConnection:
-        try:
-            return self._conns.get_nowait()
-        except queue.Empty:
-            return http.client.HTTPConnection(
-                "127.0.0.1", self.port, timeout=timeout
-            )
+    def get_conn(self, timeout: float | None) -> _Relay:
+        """A pooled relay socket, or a fresh one when none is usable.
 
-    def put_conn(self, conn: http.client.HTTPConnection) -> None:
-        self._conns.put(conn)
+        A pooled socket the worker has closed since (its idle
+        ``request_timeout`` ran out, or it died) is discarded here, so
+        the request it would have carried never meets the dead socket.
+        """
+        while True:
+            try:
+                relay = self._conns.pop()
+            except IndexError:
+                return _Relay(self.port, timeout)
+            if not relay.stale():
+                return relay
+            relay.close()
+
+    def put_conn(self, relay: _Relay) -> None:
+        self._conns.append(relay)
 
     def drain_conns(self) -> None:
         while True:
             try:
-                self._conns.get_nowait().close()
-            except queue.Empty:
+                self._conns.pop().close()
+            except IndexError:
                 return
 
 
@@ -504,39 +621,47 @@ class PoolServer:
         body: bytes | None,
         headers: dict[str, str],
         idempotent: bool = True,
-    ) -> tuple[int, dict[str, str], bytes]:
-        """Proxy one request to worker ``wid`` over a pooled connection.
+    ) -> tuple[int, list[tuple[str, str]], bytes]:
+        """Relay one request to worker ``wid`` over a pooled raw socket.
+
+        The request is re-framed (request line, ``Host``, ``headers``,
+        ``Content-Length``, body) and sent in one ``sendall``.  The reply's
+        status line and headers are parsed within fixed bounds (65,536-byte
+        lines, 100 headers, ``request_timeout`` per read) and its body is
+        read by ``Content-Length``.  Returns ``(status, headers, body)``
+        where ``headers`` are the reply's ``Content-Type`` and
+        ``X-Trace-Id``.  The socket goes back to the worker's pool unless
+        the reply was HTTP/1.0 or said ``Connection: close``; after any
+        transport error it is closed.  A pooled socket that is already
+        readable before use (the worker closed it while it sat idle) is
+        discarded, not sent on (:meth:`_WorkerLink.get_conn`).
 
         Retries exactly once on a transport error (a worker respawn kills
-        its keep-alive connections; reads retry safely).  Callers proxying
+        its keep-alive connections; reads retry safely).  Callers relaying
         a request that mutates worker state — ``/v1/update``, which bumps
         the index version — pass ``idempotent=False``: a request that may
         already have been *applied* before the transport error must not be
         replayed, so those fail fast with a 503 instead.
         """
         link = self._links[wid]
+        request = _frame(method, path, link.port, headers, body)
         last_error: Exception | None = None
         attempts = (0, 1) if idempotent else (0,)
-        for attempt in attempts:
-            conn = link.get_conn(self.request_timeout)
+        for _ in attempts:
+            relay = None
             try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                data = response.read()
-            except (http.client.HTTPException, OSError) as exc:
-                conn.close()
+                relay = link.get_conn(self.request_timeout)
+                status, reply_headers, data, reusable = relay.exchange(request)
+            except (OSError, _BadReply) as exc:
+                if relay is not None:
+                    relay.close()
                 last_error = exc
                 continue
-            reply_headers = {
-                key: value
-                for key, value in response.getheaders()
-                if key.lower() in ("content-type", "x-trace-id")
-            }
-            if response.will_close:
-                conn.close()
+            if reusable:
+                link.put_conn(relay)
             else:
-                link.put_conn(conn)
-            return response.status, reply_headers, data
+                relay.close()
+            return status, reply_headers, data
         raise PoolWorkerUnavailable(
             f"worker {wid} unreachable after retry: {last_error}"
         )
@@ -743,25 +868,23 @@ class PoolServer:
         """Profile every worker concurrently and merge the stacks.
 
         Each worker samples its own threads for ``seconds``; the fan-out
-        runs on parallel threads over *fresh* connections (the pooled
-        keep-alive connections have a shorter timeout than a long profile
-        run), so wall clock is ~``seconds``, not ``workers * seconds``.
+        runs on parallel threads over *fresh* relay sockets (the pooled
+        ones time out sooner than a long profile run), so wall clock is
+        ~``seconds``, not ``workers * seconds``.
         """
         results: dict[int, dict[str, Any]] = {}
         lock = threading.Lock()
+        path = f"/v1/profile?seconds={seconds:g}&hz={hz:g}"
 
         def one(link: _WorkerLink) -> None:
-            conn = http.client.HTTPConnection(
-                "127.0.0.1", link.port, timeout=seconds + 10.0
-            )
             try:
-                conn.request("GET", f"/v1/profile?seconds={seconds:g}&hz={hz:g}")
-                response = conn.getresponse()
-                payload = json.loads(response.read().decode("utf-8"))
-            except (http.client.HTTPException, OSError, ValueError):
+                with contextlib.closing(_Relay(link.port, seconds + 10.0)) as relay:
+                    _, _, data, _ = relay.exchange(
+                        _frame("GET", path, link.port, {}, None)
+                    )
+                payload = json.loads(data.decode("utf-8"))
+            except (OSError, _BadReply, ValueError):
                 return
-            finally:
-                conn.close()
             if payload.get("ok"):
                 with lock:
                     results[link.wid] = payload["profile"]
@@ -838,15 +961,21 @@ def _mutates_index(path: str, payload: Any) -> bool:
 
 
 class RouterHandler(BaseHTTPRequestHandler):
-    """The parent's public-port handler: route, proxy, aggregate.
+    """The parent's public-port handler: route, relay, aggregate.
 
     All JSON work on this path is one ``json.loads`` per request (for the
     routing key) — index lookups, graph loads and oracle calls happen in
-    the workers.  ``/healthz`` answers locally; ``/v1/stats`` fans in and
-    adds the pool-wide ``guarantee`` block; ``/metrics`` fans in (JSON)
-    or serves one *merged* Prometheus exposition (``Accept: text/plain``
-    / ``?format=prom``); ``/v1/traces`` stitches one cross-process tree
-    per trace id (``?worker=N`` filters to one worker's local view);
+    the workers.  A routed request reaches its worker through
+    :meth:`PoolServer.forward`'s byte relay.  Every response — relayed
+    (with ``X-Repro-Worker``), the router's own, or its 503 when a worker
+    cannot be reached — goes back in one write through
+    :func:`~repro.serve.http.send_reply`.
+
+    ``/healthz`` answers locally; ``/v1/stats`` fans in and adds the
+    pool-wide ``guarantee`` block; ``/metrics`` fans in (JSON) or serves
+    one *merged* Prometheus exposition (``Accept: text/plain`` /
+    ``?format=prom``); ``/v1/traces`` stitches one cross-process tree per
+    trace id (``?worker=N`` filters to one worker's local view);
     ``/v1/profile`` samples every worker at once and merges the collapsed
     stacks.  Requests carrying ``X-Trace-Id`` get a ``pool.route`` span
     recorded here, with the span id propagated to the worker via
@@ -965,6 +1094,7 @@ class RouterHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
         path = urlsplit(self.path).path
         if path not in _POST_ROUTES:
+            self.close_connection = True  # its body stays unread
             self._reply_error(404, "not_found", f"no such route: POST {path}")
             return
         try:
@@ -1056,16 +1186,8 @@ class RouterHandler(BaseHTTPRequestHandler):
         except PoolWorkerUnavailable as exc:
             self._reply_error(503, "PoolWorkerUnavailable", str(exc))
             return
-        self.send_response(status)
-        for key, value in reply_headers.items():
-            self.send_header(key, value)
-        self.send_header("X-Repro-Worker", str(wid))
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        try:
-            self.wfile.write(data)
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
+        reply_headers += [("X-Repro-Worker", str(wid)), ("Content-Length", str(len(data)))]
+        send_reply(self, status, reply_headers, data)
 
     def _reply_json(self, status: int, payload: dict[str, Any]) -> None:
         data = json.dumps(payload).encode("utf-8")
@@ -1075,14 +1197,12 @@ class RouterHandler(BaseHTTPRequestHandler):
         self._send_raw(status, text.encode("utf-8"), content_type)
 
     def _send_raw(self, status: int, data: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        try:
-            self.wfile.write(data)
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
+        send_reply(
+            self,
+            status,
+            [("Content-Type", content_type), ("Content-Length", str(len(data)))],
+            data,
+        )
 
     def _reply_error(self, status: int, kind: str, message: str) -> None:
         self._reply_json(

@@ -29,8 +29,9 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
+from functools import lru_cache
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.contracts import guarded_by
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
@@ -48,6 +49,26 @@ from repro.persist.fingerprint import graph_digest
 from repro.serve.cache import BuildWaitTimeout, IndexCache, TooManyBuilds
 
 _METHODS = ("auto", "indexed", "naive")
+
+
+@lru_cache(maxsize=256)
+def _parse_query_text(text: str) -> Formula:
+    """The formula for one query text, parsed once per distinct text.
+
+    Formulas are frozen, so every request naming the same text can share
+    one parse.  Memoized in a bounded, thread-safe LRU; a text that fails
+    to parse raises and is not cached.
+    """
+    return parse_formula(text)
+
+
+class _Resolved(NamedTuple):
+    """One request resolved: its graph, parsed query, method and cache key."""
+
+    graph: ColoredGraph
+    phi: Formula
+    method: str
+    key: str
 
 
 class ServeError(ReproError):
@@ -238,13 +259,13 @@ class QueryService:
 
     def handle_test(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Corollary 2.4 over HTTP: is ``tuple`` a solution?"""
-        index, meta = self._index_for(payload)
+        index, meta, _ = self._index_for(payload)
         values = _require_tuple(payload, "tuple", index.arity)
         return {"value": index.test(values), "index": meta}
 
     def handle_next(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Theorem 2.3 over HTTP: smallest solution ``>= tuple``."""
-        index, meta = self._index_for(payload)
+        index, meta, _ = self._index_for(payload)
         values = _require_tuple(payload, "tuple", index.arity)
         found = index.next_solution(values)
         return {
@@ -264,7 +285,7 @@ class QueryService:
         the request fails with a typed 409 :class:`StaleCursor` instead
         of silently mixing pages from different generations.
         """
-        index, meta = self._index_for(payload)
+        index, meta, _ = self._index_for(payload)
         limit = _require_int(
             payload, "limit", minimum=1, default=self.default_page_size
         )
@@ -302,17 +323,17 @@ class QueryService:
         invalid edge (absent on delete, present or self-loop on insert,
         out-of-range endpoint) is a 400.
         """
-        graph, digest, phi, method = self._resolve_request(payload)
+        request = self._resolve_request(payload)
         op = payload.get("op")
         if op not in ("insert", "delete"):
             raise BadRequest(f"'op' must be 'insert' or 'delete', got {op!r}")
         edge = _require_tuple(payload, "edge", 2)
-        updated, status, key = self._apply_update(graph, digest, phi, method, op, edge)
+        updated, status = self._apply_update(request, op, edge)
         meta = {
             "status": status,
             "method": updated.method,
             "arity": updated.arity,
-            "fingerprint": key[:12],
+            "fingerprint": request.key[:12],
             "index_version": updated.version,
         }
         return {
@@ -336,8 +357,7 @@ class QueryService:
         invalid edge mid-batch fails the batch after the earlier updates
         have been applied — batches are not transactions.
         """
-        index, meta = self._index_for(payload)
-        graph, digest, phi, method = self._resolve_request(payload)
+        index, meta, request = self._index_for(payload)
         calls = payload.get("calls")
         if not isinstance(calls, list) or not calls:
             raise BadRequest("'calls' must be a non-empty list of call objects")
@@ -373,9 +393,8 @@ class QueryService:
                 found = index.next_solution(_require_tuple(call, "tuple", index.arity))
                 results.append(None if found is None else list(found))
             else:
-                index, _, _ = self._apply_update(
-                    graph, digest, phi, method,
-                    call["action"], _require_tuple(call, "edge", 2),
+                index, _ = self._apply_update(
+                    request, call["action"], _require_tuple(call, "edge", 2)
                 )
                 results.append(
                     {"applied": call["action"], "version": index.version}
@@ -385,7 +404,7 @@ class QueryService:
 
     def handle_count(self, payload: dict[str, Any]) -> dict[str, Any]:
         """|phi(G)| via ``QueryIndex.count`` (enumerates only at arity >= 3)."""
-        index, meta = self._index_for(payload)
+        index, meta, _ = self._index_for(payload)
         return {"count": index.count(), "index": meta}
 
     def handle_explain(self, payload: dict[str, Any]) -> dict[str, Any]:
@@ -433,27 +452,31 @@ class QueryService:
         if not isinstance(query, str) or not query.strip():
             raise BadRequest("'query' must be a non-empty formula string")
         try:
-            return parse_formula(query)
+            return _parse_query_text(query)
         except ParseError as exc:
             raise BadRequest(f"bad query: {exc}") from None
 
-    def _resolve_request(
-        self, payload: dict[str, Any]
-    ) -> tuple[ColoredGraph, str, Formula, str]:
-        """The request's graph (+ digest), parsed query, and method."""
+    def _resolve_request(self, payload: dict[str, Any]) -> _Resolved:
+        """The request's graph, parsed query, method and cache key.
+
+        The key is the request's one :meth:`IndexCache.fingerprint`; the
+        cache lookup, the ``index`` meta and an update's republish all
+        reuse it.
+        """
         graph, digest = self.graphs.resolve(payload)
         phi = self._parse_query(payload)
         method = payload.get("method", "auto")
         if method not in _METHODS:
             raise BadRequest(f"unknown method {method!r}; choose from {_METHODS}")
-        return graph, digest, phi, method
+        key = self.cache.fingerprint(graph, phi, method=method, graph_digest_hint=digest)
+        return _Resolved(graph, phi, method, key)
 
-    def _cached_index(
-        self, graph: ColoredGraph, digest: str, phi: Formula, method: str
-    ) -> tuple[QueryIndex, str]:
+    def _cached_index(self, request: _Resolved) -> tuple[QueryIndex, str]:
         """The warm index, with build failures mapped to typed errors."""
         try:
-            return self.cache.get(graph, phi, method=method, graph_digest_hint=digest)
+            return self.cache.get_keyed(
+                request.key, request.graph, request.phi, method=request.method
+            )
         except DecompositionError as exc:
             raise BadRequest(f"query is not decomposable: {exc}") from None
         except BuildWaitTimeout as exc:
@@ -463,35 +486,28 @@ class QueryService:
 
     def _index_for(
         self, payload: dict[str, Any]
-    ) -> tuple[QueryIndex, dict[str, Any]]:
+    ) -> tuple[QueryIndex, dict[str, Any], _Resolved]:
         """Resolve graph + query to a warm index and response metadata.
 
         The ``index`` meta is the consistent response envelope: every
         endpoint that touches an index reports its (abridged) static
         fingerprint and current ``index_version`` alongside the result.
+        The resolved request comes back too, for a batch's updates.
         """
-        graph, digest, phi, method = self._resolve_request(payload)
-        index, status = self._cached_index(graph, digest, phi, method)
+        request = self._resolve_request(payload)
+        index, status = self._cached_index(request)
         meta = {
             "status": status,
             "method": index.method,
             "arity": index.arity,
-            "fingerprint": self.cache.fingerprint(
-                graph, phi, method=method, graph_digest_hint=digest
-            )[:12],
+            "fingerprint": request.key[:12],
             "index_version": index.version,
         }
-        return index, meta
+        return index, meta, request
 
     def _apply_update(
-        self,
-        graph: ColoredGraph,
-        digest: str,
-        phi: Formula,
-        method: str,
-        action: str,
-        edge: tuple[int, ...],
-    ) -> tuple[QueryIndex, str, str]:
+        self, request: _Resolved, action: str, edge: tuple[int, ...]
+    ) -> tuple[QueryIndex, str]:
         """Repair the warm index one generation forward and republish it.
 
         Serialized under ``_update_lock``: the *current* generation is
@@ -500,9 +516,8 @@ class QueryService:
         the cache (and its snapshot), keyed by the static fingerprint.
         """
         u, v = edge
-        key = self.cache.fingerprint(graph, phi, method=method, graph_digest_hint=digest)
         with self._update_lock:
-            index, status = self._cached_index(graph, digest, phi, method)
+            index, status = self._cached_index(request)
             try:
                 updated = (
                     index.insert_edge(u, v)
@@ -511,8 +526,8 @@ class QueryService:
                 )
             except (ValueError, IndexError) as exc:
                 raise BadRequest(f"cannot {action} edge {list(edge)}: {exc}") from None
-            self.cache.replace(key, updated)
-        return updated, status, key
+            self.cache.replace(request.key, updated)
+        return updated, status
 
 
 def _require_int(

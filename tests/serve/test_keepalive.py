@@ -11,7 +11,8 @@ for correct requests (the PR-8 bug class these tests pin down):
 * negative ``Content-Length`` — must be a 400, never ``read(-5)`` (which
   reads to EOF and stalls the connection until the client gives up);
 * non-integer / missing ``Content-Length`` — 400 plus close;
-* short bodies (client died mid-send) — 400 plus close.
+* short bodies (client died mid-send) — 400 plus close;
+* a POST to an unknown route — 404, body unread, so close.
 """
 
 from __future__ import annotations
@@ -200,3 +201,26 @@ def test_short_body_rejected_and_closed(addr):
     response, closed = _exchange(addr, raw, half_close=True)
     assert b"400" in response.split(b"\r\n", 1)[0]
     assert closed
+
+
+def test_unknown_post_route_does_not_poison_pipelined_request(addr):
+    """A 404'd POST leaves its body unread, so the connection must close
+    rather than parse that body as the next request line."""
+    good = _body()
+    raw = _raw_request(
+        "POST /v1/nope HTTP/1.1\r\n"
+        "Host: t\r\n"
+        f"Content-Length: {len(good)}\r\n"
+        "\r\n",
+        good,
+    ) + _raw_request(
+        "POST /v1/test HTTP/1.1\r\n"
+        "Host: t\r\n"
+        f"Content-Length: {len(good)}\r\n"
+        "\r\n",
+        good,
+    )
+    response, closed = _exchange(addr, raw)
+    assert closed
+    assert response.count(b"HTTP/1.1") == 1
+    assert b"404" in response.split(b"\r\n", 1)[0]

@@ -225,3 +225,49 @@ def test_metrics_snapshot_with_active_registry(service, spec):
         if name.startswith("engine.")
     ]
     assert engine_keys  # the engine's own instrumentation reached the registry
+
+
+def test_query_parsed_once_and_fingerprinted_once_per_request(
+    service, spec, oracle, monkeypatch
+):
+    """Every request costs one ``IndexCache.fingerprint``; one query text
+    costs one parse however many requests name it (a batch included)."""
+    import repro.serve.cache as cache_module
+    import repro.serve.service as service_module
+
+    parses: list[str] = []
+    fingerprints: list[int] = []
+    parse, fingerprint = service_module.parse_formula, cache_module.index_fingerprint
+    monkeypatch.setattr(
+        service_module, "parse_formula", lambda text: parses.append(text) or parse(text)
+    )
+    monkeypatch.setattr(
+        cache_module,
+        "index_fingerprint",
+        lambda *args, **kwargs: fingerprints.append(1) or fingerprint(*args, **kwargs),
+    )
+    service_module._parse_query_text.cache_clear()
+    query = {**spec, "query": QUERY}
+    edge = next([0, v] for v in range(1, 40) if not oracle.test((0, v)))
+    requests = [
+        (service.handle_test, {**query, "tuple": [0, 1]}),
+        (service.handle_test, {**query, "tuple": [1, 0]}),
+        (service.handle_next, {**query, "tuple": [0, 0]}),
+        (service.handle_enumerate, {**query, "limit": 5}),
+        (service.handle_count, query),
+        (
+            service.handle_batch,
+            {
+                **query,
+                "calls": [
+                    {"op": "test", "tuple": [0, 1]},
+                    {"op": "update", "action": "insert", "edge": edge},
+                ],
+            },
+        ),
+        (service.handle_update, {**query, "op": "delete", "edge": edge}),
+    ]
+    for handle, payload in requests:
+        handle(payload)
+    assert parses == [QUERY]
+    assert len(fingerprints) == len(requests)
