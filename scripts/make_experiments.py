@@ -148,10 +148,10 @@ CLAIMS = {
     ),
     "bench_persist": (
         "**Persistence (engineering).** Loading a snapshot beats rebuilding "
-        "the index, and a parallel build equals the sequential one.",
+        "the index and answers like it.",
         "Warm load beats cold preprocessing by at least {warm_min:.1f}x at "
-        "every n (gated at 5x); see `matches_sequential` for the parallel "
-        "builds.",
+        "every n (gated at 5x); see `answers_match` for the loaded index's "
+        "answers.",
     ),
     "bench_serving": (
         "**Serving (engineering).** A pre-fork pool answers like one server, "

@@ -34,7 +34,9 @@ over the worker's request span), ``/v1/profile`` returns merged
 collapsed stacks, an update after the pool sat idle past the workers'
 ``--request-timeout`` is applied at the next version (the router drops
 keep-alive sockets the workers closed meanwhile), and SIGINT tears the
-whole process family down.
+whole process family down: no worker pid that ``/v1/stats`` reported is
+left running.  A second, short pool start ends with SIGTERM (a plain
+``kill``) and makes the same check.
 
 Run from the repo root:
 ``python scripts/smoke_serve.py [--paranoid] [--pool N]``.
@@ -103,6 +105,57 @@ def start_server(extra_args: list[str] | None = None) -> tuple[subprocess.Popen,
     return proc, f"http://{match.group(1)}:{match.group(2)}"
 
 
+def worker_pids(stats: dict) -> list[int]:
+    """The worker pids in a pool's ``/v1/stats`` payload."""
+    return [int(worker["worker"]["pid"]) for worker in stats["workers"]]
+
+
+def check_no_worker_left(pids: list[int], signame: str) -> None:
+    """Fail (after killing them) if any of ``pids`` outlived the pool."""
+    deadline = time.monotonic() + 5.0
+    while True:
+        left = []
+        for pid in pids:
+            try:
+                os.kill(pid, 0)
+                left.append(pid)
+            except ProcessLookupError:
+                pass
+        if not left or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    check(not left, f"no pool worker left running after {signame}")
+
+
+def stop(proc: subprocess.Popen, sig: signal.Signals, what: str) -> int | None:
+    """Send ``sig``; the exit code, or None (and the process killed)."""
+    proc.send_signal(sig)
+    try:
+        return proc.wait(timeout=15)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        print(f"FAIL: {what} did not shut down on {sig.name}", file=sys.stderr)
+        return None
+
+
+def run_pool_sigterm(workers: int) -> int:
+    """A short second pool start that ends with a plain ``kill``."""
+    proc, url = start_server(["--pool-workers", str(workers)])
+    pids: list[int] = []
+    try:
+        pids = worker_pids(ServiceClient(url, timeout=60.0).stats())
+        check(len(pids) == workers, "second pool reports its worker pids")
+    finally:
+        code = stop(proc, signal.SIGTERM, "pool")
+    if code is None:
+        return 1
+    check_no_worker_left(pids, "SIGTERM")
+    check(code == 0, "pool exited 0 on SIGTERM")
+    return 0
+
+
 def run_pool(workers: int) -> int:
     """The pre-fork leg: warm snapshot, pooled server, concurrent oracle."""
     import tempfile
@@ -127,6 +180,7 @@ def run_pool(workers: int) -> int:
         ])
         print(f"pool up at {url} ({workers} workers); "
               f"oracle has {len(solutions)} solutions")
+        pids: list[int] = []
         try:
             client = ServiceClient(url, timeout=120.0)
             check(client.health(), "pool /healthz answers")
@@ -204,6 +258,7 @@ def run_pool(workers: int) -> int:
             # --- aggregated stats + worker attribution ----------------
             stats = client.stats()
             check(stats["pool"]["workers"] == workers, "stats reports worker count")
+            pids = worker_pids(stats)
             check(
                 stats["pool"]["preloaded"] == 1,
                 "stats reports the preloaded snapshot",
@@ -330,14 +385,13 @@ def run_pool(workers: int) -> int:
                 "update after an idle wait past --request-timeout lands at version 3",
             )
         finally:
-            proc.send_signal(signal.SIGINT)
-            try:
-                code = proc.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                print("FAIL: pool did not shut down on SIGINT", file=sys.stderr)
-                return 1
+            code = stop(proc, signal.SIGINT, "pool")
+    if code is None:
+        return 1
+    check_no_worker_left(pids, "SIGINT")
     check(code == 0, "pool exited 0 on SIGINT")
+    if run_pool_sigterm(workers):
+        return 1
     print(f"smoke_serve: all {_checks} checks passed (pool {workers})")
     return 0
 
@@ -567,13 +621,9 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 check(False, f"{what} was not rejected")
     finally:
-        proc.send_signal(signal.SIGINT)
-        try:
-            code = proc.wait(timeout=15)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            print("FAIL: server did not shut down on SIGINT", file=sys.stderr)
-            return 1
+        code = stop(proc, signal.SIGINT, "server")
+    if code is None:
+        return 1
     check(code == 0, "server exited 0 on SIGINT")
     print(f"smoke_serve: all {_checks} checks passed{mode}")
     return 0

@@ -220,11 +220,9 @@ class BenchSuite:
         self,
         profile: Profile,
         log: Callable[[str], None] = lambda line: None,
-        workers: int = 2,
     ) -> None:
         self.profile = profile
         self.log = log
-        self.workers = max(workers, 2)  # E15's parallel arm needs > 1
         self.records: list[dict[str, Any]] = []
         self._graphs: dict[tuple[str, int, int], Any] = {}
         self._indexes: dict[tuple[str, int, str, int], Any] = {}
@@ -858,10 +856,10 @@ class BenchSuite:
                 {"measured_depth": index.recursion_depth},
             )
 
-    # -- E15: persistence (cold vs warm) + parallel preprocessing -------
+    # -- E15: persistence (cold vs warm) --------------------------------
 
     def run_e15(self) -> None:
-        """Cold build vs snapshot load, and the ``workers`` fan-out.
+        """Cold build vs snapshot load.
 
         The warm path is the paid-once contract across processes: a valid
         snapshot must answer without rebuilding, and its load time must
@@ -870,7 +868,6 @@ class BenchSuite:
         """
         import tempfile
 
-        from repro.core.config import EngineConfig
         from repro.core.engine import build_index
         from repro.persist import index_fingerprint, load_index, save_index
 
@@ -902,27 +899,6 @@ class BenchSuite:
                     "warm_speedup_vs_cold": round(speedup, 1),
                     "snapshot_bytes": header["payload_bytes"],
                     "answers_match": next(loaded.enumerate(), None) == first_cold,
-                },
-            )
-
-            def parallel_build(g: Any = g) -> Any:
-                return build_index(
-                    g, _QUERY, config=EngineConfig(workers=self.workers)
-                )
-
-            par_stats, par_index = _timed(parallel_build, p.repeats)
-            self.record(
-                "E15", "bench_persist",
-                f"test_parallel_build[{self.workers}-{n}]",
-                {"n": n, "workers": self.workers},
-                par_stats,
-                {
-                    "parallel_speedup_vs_sequential": round(
-                        cold_stats["mean"] / max(par_stats["mean"], 1e-9), 2
-                    ),
-                    "matches_sequential": (
-                        next(par_index.enumerate(), None) == first_cold
-                    ),
                 },
             )
 
@@ -1643,7 +1619,6 @@ def run_suite(
     profile: Profile,
     experiments: Iterable[str] | None = None,
     log: Callable[[str], None] = lambda line: None,
-    workers: int = 2,
 ) -> dict[str, Any]:
     """Run the suite and return the (already validated) result document."""
     if experiments is None:
@@ -1658,7 +1633,7 @@ def run_suite(
             f"unknown experiment id(s) {unknown}; "
             f"known: {sorted(BenchSuite.RUNNERS)}"
         )
-    suite = BenchSuite(profile, log=log, workers=workers)
+    suite = BenchSuite(profile, log=log)
     started = time.perf_counter()
     suite.run(chosen)
     payload = {
@@ -1716,10 +1691,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         "--report", default=None, metavar="FILE",
         help="also render the markdown report to FILE (e.g. EXPERIMENTS.md)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="thread count for E15's parallel-preprocessing arm (default: 2)",
-    )
 
 
 def run_cli(args: argparse.Namespace) -> int:
@@ -1728,11 +1699,7 @@ def run_cli(args: argparse.Namespace) -> int:
     if args.experiments:
         experiments = [e.strip() for e in args.experiments.split(",") if e.strip()]
     try:
-        payload = run_suite(
-            profile, experiments,
-            log=lambda line: print(line),
-            workers=args.workers,
-        )
+        payload = run_suite(profile, experiments, log=lambda line: print(line))
     except ValueError as exc:
         print(f"bench-suite: {exc}", file=sys.stderr)
         return 2

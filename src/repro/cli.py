@@ -26,13 +26,13 @@ Commands
     and optionally write flamegraph.pl / speedscope input.
 
 ``query FILE QUERY [--enumerate N] [--count] [--test a,b] [--next a,b]
-[--cache DIR] [--workers N]``
+[--cache DIR]``
     Build the Theorem 2.3 index over the graph in FILE and answer.  With
     ``--cache`` the index is served from (and saved to) a snapshot
     directory, so the pseudo-linear preprocessing is paid once across
     process invocations; see :mod:`repro.persist`.
 
-``warm GRAPH QUERY -o FILE [--workers N]``
+``warm GRAPH QUERY -o FILE``
     Run the preprocessing now and snapshot the built index to FILE, so a
     later ``query --cache`` (or :func:`repro.persist.load_index`) starts
     warm.
@@ -68,6 +68,7 @@ engine cannot satisfy).
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 from pathlib import Path
@@ -165,15 +166,12 @@ def _cmd_trace(args) -> int:
     from repro import metrics, trace
 
     graph = _load_graph(args.graph)
-    config = _engine_config(args)
     # ops=True so enumerate.step spans carry per-step operation counts
     with metrics.collect(ops=True):
         with trace.tracing(
             "repro trace", graph=args.graph, query=args.query
         ) as tracer:
-            index = build_index(
-                graph, args.query, method=args.method, config=config
-            )
+            index = build_index(graph, args.query, method=args.method)
             if args.test is not None:
                 values = _parse_tuple(args.test)
                 print(f"test{values}: {index.test(values)}")
@@ -223,11 +221,10 @@ def _cmd_profile(args) -> int:
     from repro.trace.profiler import SamplingProfiler, flamegraph_text
 
     graph = _load_graph(args.graph)
-    config = _engine_config(args)
     profiler = SamplingProfiler(hz=args.hz)
     tick = time.perf_counter()
     with profiler:
-        index = build_index(graph, args.query, method=args.method, config=config)
+        index = build_index(graph, args.query, method=args.method)
         if args.count:
             print(f"count: {index.count()}")
         taken = 0
@@ -266,29 +263,16 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _engine_config(args):
-    from repro.core.config import DEFAULT_CONFIG, EngineConfig
-
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        raise UsageError(f"--workers must be >= 1, got {workers}")
-    if workers == 1:
-        return DEFAULT_CONFIG
-    return EngineConfig(workers=workers)
-
-
 def _cmd_query(args) -> int:
     if args.enumerate is not None and args.enumerate < 1:
         raise UsageError(f"--enumerate must be >= 1, got {args.enumerate}")
     graph = _load_graph(args.graph)
-    config = _engine_config(args)
     if args.cache:
         from repro.persist import load_or_build
 
         tick = time.perf_counter()
         index, status = load_or_build(
-            graph, args.query, method=args.method,
-            config=config, cache_dir=args.cache,
+            graph, args.query, method=args.method, cache_dir=args.cache
         )
         ready_ms = (time.perf_counter() - tick) * 1000
         print(
@@ -296,7 +280,7 @@ def _cmd_query(args) -> int:
             f"arity={index.arity}, ready in {ready_ms:.1f} ms"
         )
     else:
-        index = build_index(graph, args.query, method=args.method, config=config)
+        index = build_index(graph, args.query, method=args.method)
         print(
             f"index built: method={index.method}, arity={index.arity}, "
             f"preprocessing={index.preprocessing_seconds * 1000:.1f} ms"
@@ -338,11 +322,8 @@ def _cmd_warm(args) -> int:
     from repro.persist import warm
 
     graph = _load_graph(args.graph)
-    config = _engine_config(args)
     tick = time.perf_counter()
-    index, header = warm(
-        graph, args.query, args.output, method=args.method, config=config
-    )
+    index, header = warm(graph, args.query, args.output, method=args.method)
     elapsed = time.perf_counter() - tick
     print(
         f"warmed {args.output}: method={index.method}, arity={index.arity}, "
@@ -433,7 +414,6 @@ def _cmd_serve(args) -> int:
         build_wait_seconds=args.build_timeout,
         max_in_flight_builds=args.max_builds,
         max_batch_calls=args.max_batch_calls,
-        config=_engine_config(args),
     )
     if args.pool_workers:
         return _serve_pool(args, service)
@@ -447,6 +427,7 @@ def _cmd_serve(args) -> int:
         slow_ms=args.slow_ms,
         watchdog=watchdog,
     )
+    _stop_on_sigterm()
     host, port = server.server_address[:2]
     print(f"repro serve: listening on http://{host}:{port}", flush=True)
     try:
@@ -461,6 +442,22 @@ def _cmd_serve(args) -> int:
     finally:
         server.server_close()
     return 0
+
+
+def _stop_on_sigterm() -> None:
+    """Make SIGTERM (a plain ``kill``) stop ``serve`` the way ^C does.
+
+    Both serve loops turn ``KeyboardInterrupt`` into an orderly shutdown;
+    for the pool that is :meth:`~repro.serve.pool.PoolServer.close`,
+    which SIGTERMs and reaps the workers instead of orphaning them.  A
+    repeated SIGTERM is ignored, so it cannot cut that teardown short.
+    """
+
+    def _interrupt(signum, frame) -> None:
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, _interrupt)
 
 
 def _serve_pool(args, service) -> int:
@@ -495,16 +492,17 @@ def _serve_pool(args, service) -> int:
         slow_ms=args.slow_ms,
         watchdog_factory=watchdog_factory,
     )
-    pool.start()
-    host, port = pool.address
-    print(
-        f"repro serve: listening on http://{host}:{port} "
-        f"(pool: {pool.workers} workers, {pool.shards} shards, "
-        f"{len(pool.preloaded)} preloaded, "
-        f"{pool.shared_bytes} shared arena bytes)",
-        flush=True,
-    )
+    _stop_on_sigterm()
     try:
+        pool.start()
+        host, port = pool.address
+        print(
+            f"repro serve: listening on http://{host}:{port} "
+            f"(pool: {pool.workers} workers, {pool.shards} shards, "
+            f"{len(pool.preloaded)} preloaded, "
+            f"{pool.shared_bytes} shared arena bytes)",
+            flush=True,
+        )
         pool.serve_forever()
     except KeyboardInterrupt:
         print("repro serve: shutting down pool", file=sys.stderr)
@@ -568,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("--test", metavar="a,b")
     trace_cmd.add_argument("--next", metavar="a,b")
     trace_cmd.add_argument("--enumerate", type=int, default=None, metavar="N")
-    trace_cmd.add_argument("--workers", type=int, default=1, metavar="N",
-                           help="threads for the per-bag preprocessing fan-out")
     trace_cmd.add_argument("-o", "--output", metavar="FILE", default=None,
                            help="write the trace to FILE instead of (only) "
                                 "printing the span tree")
@@ -597,8 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument("--full-stacks", action="store_true",
                              help="print full root->leaf stacks, not just "
                              "the leaf frame")
-    profile_cmd.add_argument("--workers", type=int, default=1, metavar="N",
-                             help="parallel preprocessing workers")
     profile_cmd.add_argument("-o", "--output", metavar="FILE", default=None,
                              help="write collapsed stacks for flamegraph.pl "
                              "/ speedscope")
@@ -615,8 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--enumerate", type=int, default=None, metavar="N")
     query.add_argument("--cache", metavar="DIR", default=None,
                        help="serve from (and save to) a snapshot cache directory")
-    query.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="threads for the per-bag preprocessing fan-out")
     query.set_defaults(func=_cmd_query)
 
     warm_cmd = commands.add_parser(
@@ -627,8 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     warm_cmd.add_argument("-o", "--output", required=True)
     warm_cmd.add_argument("--method", default="auto",
                           choices=["auto", "indexed", "naive"])
-    warm_cmd.add_argument("--workers", type=int, default=1, metavar="N",
-                          help="threads for the per-bag preprocessing fan-out")
     warm_cmd.set_defaults(func=_cmd_warm)
 
     bench = commands.add_parser("bench", help="one-line timing summary")
@@ -658,8 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds a request waits on an in-flight build")
     serve.add_argument("--request-timeout", type=float, default=30.0, metavar="S",
                        help="socket read timeout per request")
-    serve.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="threads for the per-bag preprocessing fan-out")
     serve.add_argument("--trace-sample", type=float, default=0.0, metavar="P",
                        help="record a span tree for this fraction of requests "
                             "(X-Trace-Id requests are always recorded)")

@@ -40,8 +40,8 @@ Attribute assignment outside a build phase — outside ``__init__``, a
 ``@builds`` method, or an explicit :func:`build_phase` block — raises
 :class:`FrozenMutationError`.  Declared cells are exempt (their fills
 are checked statically against the declared lock).  The build phase is
-tracked per-thread, so parallel ``workers > 1`` builds inside a frozen
-constructor keep working: the mutating frame itself carries the depth.
+tracked per-thread, so index builds on concurrent serving threads keep
+working: the mutating frame itself carries the depth.
 """
 
 from __future__ import annotations
@@ -257,8 +257,8 @@ def install_freeze() -> None:
     matching number of :func:`uninstall_freeze` calls.  ``@builds``
     methods and ``__init__`` are wrapped to bump the per-thread build
     depth, so legitimate construction keeps working while the guard is
-    live — including constructors running on worker threads of a
-    parallel build.
+    live — including constructors running on concurrent serving
+    threads.
     """
     global _install_count
     _install_count += 1

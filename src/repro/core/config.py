@@ -28,13 +28,6 @@ class EngineConfig:
     precompute_far:
         Build the Case-I structures (unary lists L, skip pointers) during
         preprocessing (paper Steps 12-13) rather than lazily on first use.
-    workers:
-        Thread count for the independent per-bag preprocessing work
-        (cover-ball BFS fan-out, kernel computation, bag-solver builds).
-        ``1`` (the default) keeps the sequential path, which doubles as
-        the oracle in parallel-equivalence tests.  Build-strategy only:
-        the constructed index is identical for every value, so snapshot
-        fingerprints deliberately exclude it.
     """
 
     eps: float = 0.5
@@ -43,7 +36,6 @@ class EngineConfig:
     bag_naive_threshold: int = 220
     bag_max_depth: int = 12
     precompute_far: bool = True
-    workers: int = 1
 
 
 DEFAULT_CONFIG = EngineConfig()

@@ -38,7 +38,6 @@ from bisect import bisect_left
 
 from repro.contracts import (
     amortized,
-    builds,
     constant_time,
     frozen_after_build,
     pseudo_linear,
@@ -105,29 +104,14 @@ class LastCoordinateIndex:
                 max_depth=config.dist_max_depth,
             )
         # Step 3: (kr, 2kr)-cover and r-kernels
-        self.cover = build_cover(
-            graph, self.k * self.r, eps=config.eps, workers=config.workers
-        )
+        self.cover = build_cover(graph, self.k * self.r, eps=config.eps)
         with _trace_span("last.kernels", bags=len(self.cover.bags), radius=self.r):
-            if config.workers > 1 and len(self.cover.bags) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    self.kernels = list(
-                        pool.map(
-                            lambda bag: kernel_of_bag(graph, bag, self.r),
-                            self.cover.bags,
-                        )
-                    )
-            else:
-                self.kernels = [
-                    kernel_of_bag(graph, bag, self.r) for bag in self.cover.bags
-                ]
+            self.kernels = [
+                kernel_of_bag(graph, bag, self.r) for bag in self.cover.bags
+            ]
         self._solvers: dict[int, tuple[BagSolver, dict[int, int], list[int]]] = {}
         self._sentence_cache: dict[Formula, bool] = {}
         self._bag_query_cache: dict[tuple, tuple[Formula, tuple[Var, ...]]] = {}
-        if config.workers > 1:
-            self._prebuild_solvers(config.workers)
         # Steps 12-13: Case-I structures per distinct singleton-local psi
         self._far_structures_cache: dict[Formula, tuple[list[int], SkipPointers]] = {}
         if config.precompute_far:
@@ -168,30 +152,6 @@ class LastCoordinateIndex:
                 max_depth=self.config.bag_max_depth,
             )
             return (solver, to_new, original)
-
-    @pseudo_linear(note="independent Steps 8-11 per bag, fanned out on threads")
-    @builds
-    def _prebuild_solvers(self, workers: int) -> None:
-        """Eagerly build the per-bag solvers concurrently (``workers > 1``).
-
-        Each bag's Steps 8-11 are independent of every other bag's, so the
-        builds fan out on a thread pool; results are committed in bag-id
-        order afterwards, keeping the structure deterministic.  The
-        sequential path keeps the lazy one-bag-at-a-time behaviour.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        pending = [
-            bag_id
-            for bag_id, assigned in enumerate(self.cover.assigned)
-            if assigned and bag_id not in self._solvers
-        ]
-        if not pending:
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(self._build_solver, pending))
-        for bag_id, entry in zip(pending, entries):
-            self._solvers[bag_id] = entry
 
     @amortized("O(1)", note="one model check per distinct sentence, then cached")
     @read_only

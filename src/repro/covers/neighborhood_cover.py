@@ -216,86 +216,12 @@ def _validated_order(graph: ColoredGraph, order: Sequence[int]) -> list[int]:
     return scan
 
 
-def _scan_sequential(
-    graph: ColoredGraph,
-    radius: int,
-    order: Sequence[int],
-    assignment: list[int],
-    bags: list[list[int]],
-    centers: list[int],
-) -> None:
-    for c in order:
-        if assignment[c] != -1:
-            continue
-        big_ball = bounded_bfs(graph, [c], 2 * radius)
-        _commit_ball(radius, c, big_ball, assignment, bags, centers)
-
-
-def _scan_parallel(
-    graph: ColoredGraph,
-    radius: int,
-    order: Sequence[int],
-    assignment: list[int],
-    bags: list[list[int]],
-    centers: list[int],
-    workers: int,
-) -> None:
-    """Speculative BFS fan-out: identical output to the sequential scan.
-
-    Candidates still uncovered are taken in scan order in batches; their
-    ``N_2r`` balls are computed concurrently (the expensive, independent
-    step), then committed strictly in scan order, skipping candidates a
-    same-batch predecessor covered.  Whether a vertex becomes a center
-    depends only on earlier commits, so the greedy result is reproduced
-    exactly; the only waste is the discarded speculative balls.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    scan = list(order)
-    batch = max(4 * workers, 16)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pos = 0
-        while pos < len(scan):
-            candidates: list[int] = []
-            while pos < len(scan) and len(candidates) < batch:
-                c = scan[pos]
-                pos += 1
-                if assignment[c] == -1:
-                    candidates.append(c)
-            if not candidates:
-                continue
-            balls = pool.map(
-                lambda c: bounded_bfs(graph, [c], 2 * radius), candidates
-            )
-            for c, big_ball in zip(candidates, balls):
-                if assignment[c] != -1:
-                    continue
-                _commit_ball(radius, c, big_ball, assignment, bags, centers)
-
-
-def _commit_ball(
-    radius: int,
-    center: int,
-    big_ball: dict[int, int],
-    assignment: list[int],
-    bags: list[list[int]],
-    centers: list[int],
-) -> None:
-    bag_id = len(bags)
-    bags.append(sorted(big_ball))
-    centers.append(center)
-    for a, dist in big_ball.items():
-        if dist <= radius and assignment[a] == -1:
-            assignment[a] = bag_id
-
-
 @pseudo_linear(note="Theorem 4.4 greedy ball construction")
 def build_cover(
     graph: ColoredGraph,
     radius: int,
     eps: float = 0.5,
     order: Sequence[int] | None = None,
-    workers: int = 1,
 ) -> NeighborhoodCover:
     """Build an (r, 2r)-neighborhood cover greedily (Theorem 4.4).
 
@@ -312,15 +238,10 @@ def build_cover(
         which empirically keeps the degree small on sparse classes.  A
         partial order is completed with the remaining vertices in
         ascending order; invalid entries raise ``ValueError``.
-    workers:
-        Thread count for the speculative BFS fan-out; ``1`` runs the
-        plain sequential scan.  Both paths produce the identical cover.
     """
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    with _trace_span("cover.build", radius=radius, n=graph.n, workers=workers) as sp:
+    with _trace_span("cover.build", radius=radius, n=graph.n) as sp:
         n = graph.n
         if order is None:
             order = degeneracy_order(graph)
@@ -329,10 +250,18 @@ def build_cover(
         assignment = [-1] * n
         bags: list[list[int]] = []
         centers: list[int] = []
-        if workers > 1:
-            _scan_parallel(graph, radius, order, assignment, bags, centers, workers)
-        else:
-            _scan_sequential(graph, radius, order, assignment, bags, centers)
+        for c in order:
+            if assignment[c] != -1:
+                continue
+            # an uncovered vertex becomes a center: its 2r-ball is the
+            # bag, and the uncovered part of its r-ball is assigned to it
+            big_ball = bounded_bfs(graph, [c], 2 * radius)
+            bag_id = len(bags)
+            bags.append(sorted(big_ball))
+            centers.append(c)
+            for a, dist in big_ball.items():
+                if dist <= radius and assignment[a] == -1:
+                    assignment[a] = bag_id
         _metrics_count("cover.builds")
         _metrics_count("cover.bags", len(bags))
         if sp is not None:

@@ -15,11 +15,8 @@ match, so the fingerprint is a SHA-256 over:
   index is built around);
 * the chosen build method (``indexed``/``naive``/``auto`` resolve to
   different implementations);
-* every :class:`~repro.core.config.EngineConfig` field **except**
-  ``workers`` — thresholds and exponents shape the built structure, but
-  ``workers`` only chooses the build strategy (proven output-equivalent
-  by the parallel-equivalence tests), so a snapshot warmed with
-  ``workers=8`` serves a ``workers=1`` query;
+* every :class:`~repro.core.config.EngineConfig` field — thresholds
+  and exponents shape the built structure;
 * the snapshot format version, so readers never parse a format they do
   not understand.
 """
@@ -50,11 +47,11 @@ from repro.logic.syntax import Formula, Var
 #: v4: one register file — tries pickle as ``repro.storage.trie.TrieStore``
 #: over ``repro.storage.registers.RegisterFile`` (the flat arena) and
 #: ``StoredFunction`` no longer records a layout; v3 class paths name the
-#: deleted object layout or ``repro.storage.arena``.
+#: deleted object layout or ``repro.storage.arena``.  Snapshots whose
+#: pickled ``EngineConfig`` still carries the removed ``workers`` field
+#: load unchanged: unpickling puts it in the instance ``__dict__``, where
+#: no field-based comparison, hash or fingerprint reads it.
 FORMAT_VERSION = 4
-
-#: EngineConfig fields that do not affect the built structure.
-_BUILD_ONLY_FIELDS = frozenset({"workers"})
 
 
 def graph_digest(graph: ColoredGraph) -> str:
@@ -63,13 +60,8 @@ def graph_digest(graph: ColoredGraph) -> str:
 
 
 def config_token(config: EngineConfig) -> str:
-    """The fingerprint-relevant config fields as a stable string."""
-    parts = [
-        f"{f.name}={getattr(config, f.name)!r}"
-        for f in fields(config)
-        if f.name not in _BUILD_ONLY_FIELDS
-    ]
-    return ";".join(parts)
+    """Every config field as a stable string."""
+    return ";".join(f"{f.name}={getattr(config, f.name)!r}" for f in fields(config))
 
 
 def index_fingerprint(

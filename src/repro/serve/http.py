@@ -67,7 +67,7 @@ from repro.metrics.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.metrics.prometheus import flatten_gauges, render_prometheus
 from repro.metrics.runtime import active as _metrics_active
 from repro.metrics.runtime import observe as _metrics_observe
-from repro.serve.service import QueryService, ServeError
+from repro.serve.service import BadRequest, QueryService, ServeError
 from repro.trace.buffer import DEFAULT_CAPACITY, TraceBuffer
 from repro.trace.core import new_trace_id
 from repro.trace.logging import log_event
@@ -110,8 +110,6 @@ def read_request_body(
     connection.  A negative length is rejected outright: ``rfile.read(-5)``
     reads until EOF, pinning the thread until the request timeout.
     """
-    from repro.serve.service import BadRequest
-
     length_header = handler.headers.get("Content-Length")
     try:
         length = int(length_header or "")
@@ -196,6 +194,45 @@ def hold_response(handler: BaseHTTPRequestHandler) -> Iterator[None]:
             handler.close_connection = True
 
 
+def wants_prometheus(handler: BaseHTTPRequestHandler) -> bool:
+    """``/metrics`` content negotiation: Prometheus text or JSON?
+
+    Text exposition for ``?format=prom``, or for an ``Accept`` header
+    that names ``text/plain`` but not ``application/json``; JSON
+    otherwise.
+    """
+    query = parse_qs(urlsplit(handler.path).query)
+    accept = handler.headers.get("Accept", "")
+    return query.get("format", [""])[0] == "prom" or (
+        "text/plain" in accept and "application/json" not in accept
+    )
+
+
+def profile_params(query: dict[str, list[str]]) -> tuple[float, float]:
+    """``/v1/profile``'s ``(seconds, hz)``; :class:`BadRequest` when out of range."""
+    try:
+        seconds = float(query.get("seconds", ["1.0"])[0])
+        hz = float(query.get("hz", [str(DEFAULT_HZ)])[0])
+    except ValueError:
+        raise BadRequest("'seconds' and 'hz' must be numbers") from None
+    if not 0.0 < seconds <= MAX_PROFILE_SECONDS:
+        raise BadRequest(
+            f"'seconds' must be in (0, {MAX_PROFILE_SECONDS:g}], got {seconds:g}"
+        )
+    if not 1.0 <= hz <= 1000.0:
+        raise BadRequest(f"'hz' must be in [1, 1000], got {hz:g}")
+    return seconds, hz
+
+
+def traces_limit(query: dict[str, list[str]]) -> int:
+    """``/v1/traces``'s summary count (default 20, at least 1)."""
+    try:
+        limit = int(query.get("limit", ["20"])[0])
+    except ValueError:
+        raise BadRequest("'limit' must be an integer") from None
+    return max(1, limit)
+
+
 class RequestHandler(BaseHTTPRequestHandler):
     """One request; the class attributes are filled in by create_server."""
 
@@ -208,12 +245,15 @@ class RequestHandler(BaseHTTPRequestHandler):
     server_version = f"repro-serve/{__version__}"
     protocol_version = "HTTP/1.1"
 
-    #: Per-request trace id, set in do_POST and echoed by _reply.
+    #: Per-request trace id, set in do_POST and echoed by _send.  One
+    #: handler object serves a whole keep-alive connection, so every
+    #: request starts by clearing it.
     _trace_id: str | None = None
 
     # ------------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
+        self._trace_id = None
         path = urlsplit(self.path).path
         if path == "/metrics":
             self._get_metrics()
@@ -235,12 +275,7 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     def _get_metrics(self) -> None:
         """``/metrics``: JSON by default, Prometheus text when negotiated."""
-        query = parse_qs(urlsplit(self.path).query)
-        accept = self.headers.get("Accept", "")
-        wants_prom = query.get("format", [""])[0] == "prom" or (
-            "text/plain" in accept and "application/json" not in accept
-        )
-        if not wants_prom:
+        if not wants_prometheus(self):
             self._reply(200, self.service.metrics_snapshot())
             return
         gauges = {"serve.cache": self.service.cache.snapshot_stats()}
@@ -288,22 +323,10 @@ class RequestHandler(BaseHTTPRequestHandler):
         shows up.  Returns the collapsed-stack wire payload; the pool
         parent fans this out to all workers and merges the counts.
         """
-        query = parse_qs(urlsplit(self.path).query)
         try:
-            seconds = float(query.get("seconds", ["1.0"])[0])
-            hz = float(query.get("hz", [str(DEFAULT_HZ)])[0])
-        except ValueError:
-            self._error(400, "BadRequest", "'seconds' and 'hz' must be numbers")
-            return
-        if not 0.0 < seconds <= MAX_PROFILE_SECONDS:
-            self._error(
-                400,
-                "BadRequest",
-                f"'seconds' must be in (0, {MAX_PROFILE_SECONDS:g}], got {seconds:g}",
-            )
-            return
-        if not 1.0 <= hz <= 1000.0:
-            self._error(400, "BadRequest", f"'hz' must be in [1, 1000], got {hz:g}")
+            seconds, hz = profile_params(parse_qs(urlsplit(self.path).query))
+        except BadRequest as exc:
+            self._error(exc.http_status, type(exc).__name__, str(exc))
             return
         self._reply(200, {"ok": True, "profile": profile_for(seconds, hz=hz)})
 
@@ -329,9 +352,9 @@ class RequestHandler(BaseHTTPRequestHandler):
                 self._reply(200, {"ok": True, "trace": payload})
             return
         try:
-            limit = int(query.get("limit", ["20"])[0])
-        except ValueError:
-            self._error(400, "BadRequest", "'limit' must be an integer")
+            limit = traces_limit(query)
+        except BadRequest as exc:
+            self._error(exc.http_status, type(exc).__name__, str(exc))
             return
         self._reply(
             200,
@@ -339,11 +362,12 @@ class RequestHandler(BaseHTTPRequestHandler):
                 "ok": True,
                 "sample_rate": self.trace_sample,
                 "capacity": self.trace_buffer.capacity,
-                "traces": self.trace_buffer.recent(max(1, limit)),
+                "traces": self.trace_buffer.recent(limit),
             },
         )
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
+        self._trace_id = None
         path = urlsplit(self.path).path
         handler_name = _POST_ROUTES.get(path)
         if handler_name is None:
@@ -440,8 +464,6 @@ class RequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
 
     def _read_json(self) -> dict[str, Any]:
-        from repro.serve.service import BadRequest
-
         body = read_request_body(self, self.max_body_bytes)
         try:
             payload = json.loads(body.decode("utf-8"))
@@ -478,7 +500,6 @@ def build_handler(
     service: QueryService,
     request_timeout: float = 30.0,
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-    trace_buffer: TraceBuffer | None = None,
     trace_capacity: int | None = None,
     trace_sample: float = 0.0,
     slow_ms: float | None = None,
@@ -492,8 +513,9 @@ def build_handler(
     """
     if not 0.0 <= trace_sample <= 1.0:
         raise ValueError(f"trace_sample must be in [0, 1], got {trace_sample}")
-    if trace_buffer is None and trace_capacity != 0:
-        trace_buffer = TraceBuffer(trace_capacity or DEFAULT_CAPACITY)
+    trace_buffer = (
+        None if trace_capacity == 0 else TraceBuffer(trace_capacity or DEFAULT_CAPACITY)
+    )
     return type(
         "BoundRequestHandler",
         (RequestHandler,),
@@ -515,7 +537,6 @@ def create_server(
     port: int = 0,
     request_timeout: float = 30.0,
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-    trace_buffer: TraceBuffer | None = None,
     trace_capacity: int | None = None,
     trace_sample: float = 0.0,
     slow_ms: float | None = None,
@@ -529,10 +550,9 @@ def create_server(
     it does not interrupt an index build (bound those with the service's
     ``build_wait_seconds`` / ``max_in_flight_builds`` knobs instead).
 
-    ``trace_buffer`` retains recorded request traces for ``/v1/traces``;
-    when omitted, a fresh :class:`TraceBuffer` holding ``trace_capacity``
-    traces is created (``trace_capacity=0`` disables request tracing
-    entirely).  ``trace_sample`` is the probability an *unsolicited*
+    Recorded request traces are kept for ``/v1/traces`` in a
+    :class:`TraceBuffer` holding ``trace_capacity`` traces
+    (``trace_capacity=0`` disables request tracing entirely).  ``trace_sample`` is the probability an *unsolicited*
     request is recorded — requests carrying an ``X-Trace-Id`` header are
     always recorded.  ``slow_ms`` turns on the structured slow-request
     log.  ``watchdog`` consumes recorded enumeration-step spans live.
@@ -541,7 +561,6 @@ def create_server(
         service,
         request_timeout=request_timeout,
         max_body_bytes=max_body_bytes,
-        trace_buffer=trace_buffer,
         trace_capacity=trace_capacity,
         trace_sample=trace_sample,
         slow_ms=slow_ms,

@@ -70,14 +70,17 @@ from repro.serve.http import (
     _TRACE_ID_RE,
     build_handler,
     hold_response,
+    profile_params,
     read_request_body,
     send_reply,
+    traces_limit,
+    wants_prometheus,
 )
-from repro.serve.service import QueryService, ServeError
+from repro.serve.service import BadRequest, QueryService, ServeError
 from repro.storage.shared import SharedArena, share_index, shared_map_stats
 from repro.trace.buffer import DEFAULT_CAPACITY, TraceBuffer
 from repro.trace.logging import log_event
-from repro.trace.profiler import DEFAULT_HZ, MAX_PROFILE_SECONDS, merge_profiles
+from repro.trace.profiler import merge_profiles
 from repro.trace.runtime import current_span as _current_span
 from repro.trace.runtime import span as _span
 from repro.trace.runtime import tracing
@@ -329,7 +332,6 @@ class PoolServer:
         slow_ms: float | None = None,
         watchdog_factory: Any = None,
         preload: bool = True,
-        worker_setup: Any = None,
     ) -> None:
         if not hasattr(os, "fork"):
             raise RuntimeError("PoolServer needs os.fork (POSIX only)")
@@ -362,7 +364,6 @@ class PoolServer:
         self.slow_ms = slow_ms
         self.watchdog_factory = watchdog_factory
         self.preload = preload
-        self.worker_setup = worker_setup
         self.preloaded: list[str] = []
         self.arenas: list[SharedArena] = []
         self.shared_bytes = 0
@@ -549,8 +550,6 @@ class PoolServer:
         for arena in self.arenas:
             arena.touch_pages()  # pre-fault: first request never page-faults
         self.service.worker_stats_fn = lambda: _worker_stats(wid, owned)
-        if self.worker_setup is not None:
-            self.worker_setup(wid)
         watchdog = (
             self.watchdog_factory() if self.watchdog_factory is not None else None
         )
@@ -1018,12 +1017,7 @@ class RouterHandler(BaseHTTPRequestHandler):
         exposition with a ``worker`` label on per-worker series, so a
         scraper pointed at the parent sees the whole pool as one target.
         """
-        query = parse_qs(urlsplit(self.path).query)
-        accept = self.headers.get("Accept", "")
-        wants_prom = query.get("format", [""])[0] == "prom" or (
-            "text/plain" in accept and "application/json" not in accept
-        )
-        if wants_prom:
+        if wants_prometheus(self):
             self._reply_text(200, self.pool.merged_prometheus(), _PROM_CONTENT_TYPE)
         else:
             self._reply_json(200, self.pool.aggregate_metrics())
@@ -1059,35 +1053,18 @@ class RouterHandler(BaseHTTPRequestHandler):
             self._reply_json(200, {"ok": True, "trace": stitched})
             return
         try:
-            limit = int(query.get("limit", ["20"])[0])
-        except ValueError:
-            self._reply_error(400, "BadRequest", "'limit' must be an integer")
+            limit = traces_limit(query)
+        except BadRequest as exc:
+            self._reply_error(exc.http_status, type(exc).__name__, str(exc))
             return
-        self._reply_json(200, self.pool.aggregate_traces(max(1, limit)))
+        self._reply_json(200, self.pool.aggregate_traces(limit))
 
     def _get_profile(self) -> None:
         """``/v1/profile``: profile every worker at once, merge the stacks."""
-        query = parse_qs(urlsplit(self.path).query)
         try:
-            seconds = float(query.get("seconds", ["1.0"])[0])
-            hz = float(query.get("hz", [str(DEFAULT_HZ)])[0])
-        except ValueError:
-            self._reply_error(
-                400, "BadRequest", "'seconds' and 'hz' must be numbers"
-            )
-            return
-        if not 0.0 < seconds <= MAX_PROFILE_SECONDS:
-            self._reply_error(
-                400,
-                "BadRequest",
-                f"'seconds' must be in (0, {MAX_PROFILE_SECONDS:g}], "
-                f"got {seconds:g}",
-            )
-            return
-        if not 1.0 <= hz <= 1000.0:
-            self._reply_error(
-                400, "BadRequest", f"'hz' must be in [1, 1000], got {hz:g}"
-            )
+            seconds, hz = profile_params(parse_qs(urlsplit(self.path).query))
+        except BadRequest as exc:
+            self._reply_error(exc.http_status, type(exc).__name__, str(exc))
             return
         self._reply_json(200, self.pool.aggregate_profile(seconds, hz))
 

@@ -227,7 +227,6 @@ class QueryService:
         default_page_size: int = 100,
         build_wait_seconds: float = 60.0,
         max_in_flight_builds: int = 4,
-        graph_cache_entries: int = 16,
         config: EngineConfig = DEFAULT_CONFIG,
         max_batch_calls: int = 1024,
     ) -> None:
@@ -245,7 +244,7 @@ class QueryService:
         #: re-fetches the current generation inside the lock, so two
         #: concurrent updates compound instead of overwriting each other.
         self._update_lock = threading.Lock()
-        self.graphs = GraphStore(graph_root, max_entries=graph_cache_entries)
+        self.graphs = GraphStore(graph_root)
         self.cache = IndexCache(
             max_entries=cache_entries,
             snapshot_dir=snapshot_dir,

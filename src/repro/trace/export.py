@@ -38,8 +38,8 @@ def to_chrome_trace(tracer: Tracer) -> dict[str, Any]:
 
     Every span becomes one complete event (``"ph": "X"``) with
     microsecond ``ts``/``dur`` relative to the trace origin; span
-    attributes ride along in ``args``.  Thread ids map to tracks, so the
-    parallel preprocessing fan-out is visible as parallel lanes.
+    attributes ride along in ``args``.  Thread ids map to tracks, so
+    spans recorded on different threads show as separate lanes.
     """
     events: list[dict[str, Any]] = [
         {

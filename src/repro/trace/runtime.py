@@ -13,8 +13,8 @@ parent (nesting follows the dynamic call structure), and the state lives
 in a :class:`contextvars.ContextVar` — so concurrent server threads each
 see only their own trace, with no cross-request leakage (verified by
 ``tests/trace/test_concurrency.py``).  Worker threads spawned *inside* a
-traced block (the parallel preprocessing fan-outs) start with no active
-trace: their spans are simply not recorded rather than mis-parented.
+traced block start with no active trace: their spans are simply not
+recorded rather than mis-parented.
 """
 
 from __future__ import annotations

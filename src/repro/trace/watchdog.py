@@ -81,7 +81,6 @@ class Watchdog:
         ops_multiple: float = 4.0,
         calibration_samples: int = 64,
         min_budget_seconds: float = 1e-4,
-        span_name: str = STEP_SPAN,
     ) -> None:
         if multiple <= 0:
             raise ValueError(f"multiple must be positive, got {multiple}")
@@ -97,7 +96,6 @@ class Watchdog:
         self.ops_multiple = ops_multiple
         self.calibration_samples = calibration_samples
         self.min_budget_seconds = min_budget_seconds
-        self.span_name = span_name
         self.steps_seen = 0
         self.violations = {"delay": 0, "ops": 0}
         self._lock = threading.Lock()
@@ -112,7 +110,7 @@ class Watchdog:
 
     def on_span(self, span: Span) -> None:
         """Observer entry point: feed one finished span (any name)."""
-        if span.name != self.span_name:
+        if span.name != STEP_SPAN:
             return
         ops = span.attributes.get("ops")
         self.observe_step(

@@ -69,7 +69,6 @@ def knob_graph_and_answers():
         {"dist_max_depth": 1},
         {"bag_max_depth": 1},
         {"precompute_far": False},
-        {"workers": 2},
     ],
     ids=lambda knobs: "-".join(f"{k}={v}" for k, v in knobs.items()),
 )

@@ -15,6 +15,7 @@ import logging
 
 import pytest
 
+from repro.core.config import EngineConfig
 from repro.core.engine import build_index
 from repro.graphs.generators import grid, random_planar_like_graph, random_tree
 from repro.metrics.runtime import collect
@@ -195,15 +196,47 @@ def test_fingerprint_sensitivity():
     )
     changed.add_edge(0, extra)
     assert index_fingerprint(changed, "E(x, y)") != base
+    assert index_fingerprint(graph, "E(x, y)", config=EngineConfig(eps=0.25)) != base
 
 
-def test_fingerprint_ignores_workers():
-    from repro.core.config import EngineConfig
+def test_snapshot_whose_config_carries_workers_loads_as_hit(tmp_path):
+    """Snapshots written while ``EngineConfig`` had a ``workers`` field load.
 
-    graph = random_tree(30, seed=1)
-    assert index_fingerprint(
-        graph, "E(x, y)", config=EngineConfig(workers=1)
-    ) == index_fingerprint(graph, "E(x, y)", config=EngineConfig(workers=8))
-    assert index_fingerprint(
-        graph, "E(x, y)", config=EngineConfig(eps=0.25)
-    ) != index_fingerprint(graph, "E(x, y)", config=EngineConfig(eps=0.5))
+    Their pickled config carries ``workers`` in its state.  Rewriting a
+    snapshot's payload that way must still load as a ``hit`` under the
+    unchanged fingerprint, and answer like a fresh build.
+    """
+    import copyreg
+    import hashlib
+    import io
+    import pickle
+
+    class WorkersConfigPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if type(obj) is EngineConfig:
+                state = {**vars(obj), "workers": 1}
+                return copyreg.__newobj__, (EngineConfig,), state
+            return NotImplemented
+
+    graph = grid(8, 8, seed=11)
+    query = "dist(x, y) > 2 & Blue(y)"
+    fresh = build_index(graph, query)
+    fingerprint = index_fingerprint(graph, query)
+    path = cache_path(tmp_path, fingerprint)
+    save_index(fresh, path, fingerprint)
+    buffer = io.BytesIO()
+    WorkersConfigPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(fresh)
+    payload = buffer.getvalue()
+    assert b"workers" in payload
+    header = read_header(path)
+    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+    header["payload_bytes"] = len(payload)
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+    loaded, status = load_or_build(graph, query, cache_dir=tmp_path)
+    assert status == "hit"
+    assert list(loaded.enumerate()) == list(fresh.enumerate())
+    for i in range(50):
+        probe = ((7 * i) % graph.n, (7 * i + 1) % graph.n)
+        assert loaded.test(probe) == fresh.test(probe)
+        assert loaded.next_solution(probe) == fresh.next_solution(probe)

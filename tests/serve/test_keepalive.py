@@ -224,3 +224,56 @@ def test_unknown_post_route_does_not_poison_pipelined_request(addr):
     assert closed
     assert response.count(b"HTTP/1.1") == 1
     assert b"404" in response.split(b"\r\n", 1)[0]
+
+
+def _read_response(sock: socket.socket) -> tuple[str, dict[str, str]]:
+    """Read exactly one response off a keep-alive socket: (status, headers)."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, "server closed mid-response"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status, *lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.lower(): value for name, value in (line.split(": ", 1) for line in lines)
+    }
+    remaining = int(headers["content-length"]) - len(body)
+    while remaining > 0:
+        chunk = sock.recv(remaining)
+        assert chunk, "server closed mid-body"
+        remaining -= len(chunk)
+    return status, headers
+
+
+def test_trace_id_is_not_echoed_on_later_replies(addr):
+    """One handler object serves the whole keep-alive connection, so a
+    traced POST's ``X-Trace-Id`` must not ride on the replies after it: a
+    GET (through the pool, ``/v1/traces?worker=0`` is relayed to the
+    worker over a reused socket) or a 404 for an unknown POST route."""
+    trace_id = "0123456789abcdef"
+    good = _body()
+    with socket.create_connection(addr, timeout=10.0) as sock:
+        sock.sendall(_raw_request(
+            "POST /v1/test HTTP/1.1\r\n"
+            "Host: t\r\n"
+            "Content-Type: application/json\r\n"
+            f"X-Trace-Id: {trace_id}\r\n"
+            f"Content-Length: {len(good)}\r\n"
+            "\r\n",
+            good,
+        ))
+        status, headers = _read_response(sock)
+        assert " 200 " in status
+        assert headers.get("x-trace-id") == trace_id
+        for path in ("/v1/traces?worker=0", "/healthz"):
+            sock.sendall(f"GET {path} HTTP/1.1\r\nHost: t\r\n\r\n".encode("ascii"))
+            status, headers = _read_response(sock)
+            assert " 200 " in status, path
+            assert "x-trace-id" not in headers, path
+        sock.sendall(_raw_request(
+            "POST /v1/nope HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\n\r\n", b"{}"
+        ))
+        status, headers = _read_response(sock)
+        assert " 404 " in status
+        assert "x-trace-id" not in headers

@@ -24,6 +24,7 @@ from tests.serve.test_keepalive import (
     test_oversized_body_does_not_poison_pipelined_request,  # noqa: F401
     test_oversized_body_rejected_and_connection_closed,  # noqa: F401
     test_short_body_rejected_and_closed,  # noqa: F401
+    test_trace_id_is_not_echoed_on_later_replies,  # noqa: F401
     test_unknown_post_route_does_not_poison_pipelined_request,  # noqa: F401
 )
 

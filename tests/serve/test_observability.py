@@ -250,10 +250,32 @@ def test_pool_profile_merges_all_workers(client):
     assert all(count > 0 for count in profile["stacks"].values())
 
 
-def test_pool_profile_rejects_out_of_range(client):
-    with pytest.raises(urllib.request.HTTPError) as err:
-        _request(client, "/v1/profile?seconds=99")
-    assert err.value.code == 400
-    with pytest.raises(urllib.request.HTTPError) as err:
-        _request(client, "/v1/profile?seconds=0.2&hz=9999")
-    assert err.value.code == 400
+def test_profile_rejects_bad_params_on_both_servers(pool):
+    """The router and a single server share one copy of the
+    ``/v1/profile`` checks: each bad input gets the same 400 body."""
+    from repro.serve.http import create_server
+
+    cases = {
+        "seconds=99": "'seconds' must be in (0, 30], got 99",
+        "seconds=0.2&hz=9999": "'hz' must be in [1, 1000], got 9999",
+        "seconds=abc": "'seconds' and 'hz' must be numbers",
+    }
+    single = create_server(QueryService(), port=0)
+    thread = threading.Thread(target=single.serve_forever, daemon=True)
+    thread.start()
+    try:
+        for host, port in (pool.address, single.server_address[:2]):
+            for query, message in cases.items():
+                with pytest.raises(urllib.request.HTTPError) as err:
+                    urllib.request.urlopen(
+                        f"http://{host}:{port}/v1/profile?{query}", timeout=30.0
+                    )
+                assert err.value.code == 400
+                assert json.loads(err.value.read()) == {
+                    "ok": False,
+                    "error": {"type": "BadRequest", "message": message},
+                }
+    finally:
+        single.shutdown()
+        single.server_close()
+        thread.join(timeout=10)

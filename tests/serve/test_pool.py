@@ -203,3 +203,61 @@ def test_pool_respawns_dead_worker(pool, pool_client):
         if "worker" in w
     }
     assert victim not in pids
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytestmark_pool
+def test_serve_pool_sigterm_reaps_workers():
+    """A plain ``kill``, even repeated, stops ``repro serve --pool-workers``
+    like ^C does.
+
+    The parent must close the pool (SIGTERM and reap every worker) and
+    exit 0; no worker may be left running as an orphan, and a second
+    SIGTERM during that teardown must not cut it short.
+    """
+    import re
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--pool-workers", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        start_new_session=True,
+    ) as proc:
+        try:
+            line = proc.stdout.readline()
+            match = re.search(r"http://([\d.]+):(\d+)", line)
+            assert match is not None, line
+            client = ServiceClient(f"http://{match.group(1)}:{match.group(2)}")
+            pids = [int(w["worker"]["pid"]) for w in client.stats()["workers"]]
+            assert len(pids) == 2
+            proc.send_signal(signal.SIGTERM)
+            time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids))
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            try:  # leftovers of a failed run share the session's process group
+                os.killpg(proc.pid, signal.SIGKILL)
+            except (ProcessLookupError, PermissionError):
+                pass

@@ -257,7 +257,7 @@ def test_gate_skips_single_point_series():
 
 
 # ----------------------------------------------------------------------
-# E15: persistence + parallel preprocessing
+# E15: persistence
 
 
 def _warm_series(points):
@@ -285,14 +285,10 @@ def test_run_suite_e15_records_and_equivalence():
     assert validate_results(payload) == []
     names = [record["name"] for record in payload["benchmarks"]]
     assert f"test_warm_vs_cold[{TINY.small_sizes[0]}]" in names
-    assert f"test_parallel_build[2-{TINY.small_sizes[0]}]" in names
     for record in payload["benchmarks"]:
         if record["name"].startswith("test_warm_vs_cold"):
             assert record["extra_info"]["answers_match"] is True
             assert record["extra_info"]["snapshot_bytes"] > 0
-        if record["name"].startswith("test_parallel_build"):
-            assert record["extra_info"]["matches_sequential"] is True
-            assert record["params"]["workers"] == 2
 
 
 def _arena_series(points):

@@ -226,16 +226,6 @@ def test_warm_then_query_cache_hits(graph_file, tmp_path, capsys):
     assert index.count() == 78  # the snapshot answers without rebuilding
 
 
-def test_query_workers_flag(graph_file, capsys):
-    assert main(["query", graph_file, "E(x, y)", "--count", "--workers", "2"]) == 0
-    assert "count: 78" in capsys.readouterr().out
-
-
-def test_query_workers_invalid(graph_file, capsys):
-    assert main(["query", graph_file, "E(x, y)", "--workers", "0"]) == 2
-    assert "--workers must be >= 1" in capsys.readouterr().err
-
-
 def test_serve_parser_wires_the_command():
     from repro.cli import build_parser
 

@@ -90,9 +90,7 @@ def test_explicit_ops_budget():
 def test_as_observer_flags_synthetic_slow_span():
     import time
 
-    dog = Watchdog(
-        budget_seconds=1e-4, multiple=2.0, span_name="enumerate.step"
-    )
+    dog = Watchdog(budget_seconds=1e-4, multiple=2.0)
     with tracing("job", observers=(dog.on_span,)) as tracer:
         with span("enumerate.step"):
             pass  # fast step
