@@ -427,7 +427,7 @@ def _cmd_serve(args) -> int:
         slow_ms=args.slow_ms,
         watchdog=watchdog,
     )
-    _stop_on_sigterm()
+    _stop_on_signals()
     host, port = server.server_address[:2]
     print(f"repro serve: listening on http://{host}:{port}", flush=True)
     try:
@@ -444,19 +444,22 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _stop_on_sigterm() -> None:
-    """Make SIGTERM (a plain ``kill``) stop ``serve`` the way ^C does.
+def _stop_on_signals() -> None:
+    """Make the first SIGINT (^C) or SIGTERM (a plain ``kill``) stop
+    ``serve``, and ignore both signals from then on.
 
     Both serve loops turn ``KeyboardInterrupt`` into an orderly shutdown;
     for the pool that is :meth:`~repro.serve.pool.PoolServer.close`,
     which SIGTERMs and reaps the workers instead of orphaning them.  A
-    repeated SIGTERM is ignored, so it cannot cut that teardown short.
+    repeated signal of either kind cannot cut that teardown short.
     """
 
     def _interrupt(signum, frame) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
         raise KeyboardInterrupt
 
+    signal.signal(signal.SIGINT, _interrupt)
     signal.signal(signal.SIGTERM, _interrupt)
 
 
@@ -492,7 +495,7 @@ def _serve_pool(args, service) -> int:
         slow_ms=args.slow_ms,
         watchdog_factory=watchdog_factory,
     )
-    _stop_on_sigterm()
+    _stop_on_signals()
     try:
         pool.start()
         host, port = pool.address

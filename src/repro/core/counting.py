@@ -40,7 +40,7 @@ from repro.baselines.naive import NaiveIndex
 from repro.contracts import amortized
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.graphs.colored_graph import ColoredGraph
-from repro.logic.syntax import Formula, Top, Var
+from repro.logic.syntax import Formula, Var
 
 if TYPE_CHECKING:
     from repro.core.engine import QueryIndex
@@ -104,22 +104,19 @@ class CountingIndex:
     # ------------------------------------------------------------------
     def _count_close(self, a: int) -> int:
         last = self._last
-        close_types = [
-            tau for tau in last.decomp.per_type if tau.edges  # k=2: one edge
-        ]
         total: set[int] = set()
-        for tau in close_types:
-            for alt in last.decomp.per_type[tau]:
-                if not last._sentence_true(alt.sentence):
-                    continue
-                bag_id = last.cover.bag_of(a)
-                solver, to_new, to_old = last._solver(bag_id)
-                component = frozenset((0, 1))
-                query, prefix_vars = last._bag_query(alt, tau, component, 0)
-                column = solver.column(
-                    query, prefix_vars, (to_new[a],), last.free_order[-1]
-                )
-                total.update(to_old[b] for b in column)
+        for entry in last.plan_entries():
+            if entry.j_star is None:  # k=2: Case II is the close type
+                continue
+            if not last._sentence_true(entry.sentence):
+                continue
+            bag_id = last.cover.bag_of(a)
+            solver, to_new, to_old = last._solver(bag_id)
+            query, prefix_vars = entry.queries[0]
+            column = solver.column(
+                query, prefix_vars, (to_new[a],), last.free_order[-1]
+            )
+            total.update(to_old[b] for b in column)
         return len(total)
 
     # ------------------------------------------------------------------
@@ -127,27 +124,24 @@ class CountingIndex:
     # ------------------------------------------------------------------
     def _live_far_alternatives(self, a: int):
         last = self._last
-        far_types = [tau for tau in last.decomp.per_type if not tau.edges]
         live = []
-        for tau in far_types:
-            for alt_id, alt in enumerate(last.decomp.per_type[tau]):
-                if not last._sentence_true(alt.sentence):
-                    continue
-                prefix_psi = alt.local_for(frozenset((0,)))
-                if not isinstance(prefix_psi, Top):
-                    if not last._test_component(frozenset((0,)), prefix_psi, (a,)):
-                        continue
-                live.append((tau, alt_id, alt))
+        for entry_id, entry in enumerate(last.plan_entries()):
+            if entry.j_star is not None:
+                continue
+            if not last._sentence_true(entry.sentence):
+                continue
+            if not last._test_components(entry, (a,)):
+                continue
+            live.append((entry_id, entry))
         return live
 
-    def _union_l(self, key: frozenset[int], alternatives) -> list[int]:
+    def _union_l(self, key: frozenset[int], live) -> list[int]:
         cached = self._union_l_cache.get(key)
         if cached is None:
             union: set[int] = set()
             last = self._last
-            for _, _, alt in alternatives:
-                psi = alt.local_for(frozenset((1,)))
-                targets, _ = last._far_structures(psi)
+            for _, entry in live:
+                targets, _ = last._far_structures(entry.far_psi)
                 union.update(targets)
             cached = sorted(union)
             self._union_l_cache[key] = cached
@@ -167,7 +161,7 @@ class CountingIndex:
         live = self._live_far_alternatives(a)
         if not live:
             return 0
-        key = frozenset(alt_id for _, alt_id, _ in live)
+        key = frozenset(entry_id for entry_id, _ in live)
         union_l = self._union_l(key, live)
         bag_id = last.cover.bag_of(a)
         # b outside the kernel of X(a): guaranteed far (the Case I argument)
@@ -175,8 +169,8 @@ class CountingIndex:
         # b inside the kernel: search the bag with the far constraints
         solver, to_new, to_old = last._solver(bag_id)
         in_kernel: set[int] = set()
-        for tau, _, alt in live:
-            query, prefix_vars = last._bag_query(alt, tau, frozenset((1,)), 1)
+        for _, entry in live:
+            query, prefix_vars = entry.queries[1]  # a is the one stranger
             column = solver.column(
                 query, prefix_vars, (to_new[a],), last.free_order[-1]
             )

@@ -95,26 +95,23 @@ def all_types(k: int) -> Iterator[DistanceType]:
         yield DistanceType(k, edges)
 
 
-@constant_time(note="k^2 oracle calls, k fixed")
-def type_of(values: tuple[int, ...], close) -> DistanceType:
-    """The distance type of ``values`` under the closeness oracle.
+@constant_time(note="k(k-1)/2 oracle calls, k fixed")
+def type_mask(values, close) -> int:
+    """The distance type of ``values`` as a bitmask over position pairs.
 
-    ``close(a, b)`` must decide ``dist(a, b) <= r`` — in the engine this is
-    the :class:`~repro.core.distance_index.DistanceIndex` of Prop 4.2.
+    Bit ``j(j-1)/2 + i`` is set iff ``close(values[i], values[j])`` for
+    ``i < j``.  The pairs of the first ``m`` positions take the low
+    ``m(m-1)/2`` bits, so a prefix's mask is the low bits of a longer
+    tuple's.  In the engine ``close`` decides ``dist(a, b) <= r`` through
+    the :class:`~repro.core.distance_index.DistanceIndex` of Prop 4.2; the
+    answer plan masks each type with ``type_mask(range(k), tau.has_edge)``.
     """
-    k = len(values)
-    edges = set()
-    for i in range(k):
-        for j in range(i + 1, k):
-            if close(values[i], values[j]):
-                edges.add(frozenset((i, j)))
-    return DistanceType(k, frozenset(edges))
-
-
-@constant_time
-def prefix_consistent(tau: DistanceType, prefix_type: DistanceType) -> bool:
-    """Does ``tau`` restricted to the first ``k-1`` positions equal
-    ``prefix_type``?  (The answering phase's first filter.)"""
-    k = prefix_type.k
-    restricted = tau.restrict(frozenset(range(k)))
-    return restricted == prefix_type
+    mask = 0
+    bit = 1
+    for j in range(1, len(values)):
+        right = values[j]
+        for i in range(j):
+            if close(values[i], right):
+                mask |= bit
+            bit <<= 1
+    return mask

@@ -16,9 +16,18 @@ Preprocessing (Section 5.2.1's Steps, adapted per DESIGN.md):
   singleton: the unary solution list ``L`` (bag-local evaluation per
   vertex) and the Lemma 5.8 :class:`SkipPointers` over the kernels.
 
-Answering (Section 5.2.2): for each distance type ``tau`` consistent
-with the prefix and each alternative: check the global sentence, test the
-components not containing ``x_k`` inside their canonical bags, then
+Step 7 and the answering phase's bookkeeping are pure syntax, so
+preprocessing resolves them once into the *answer plan*: for each prefix
+distance type (a :func:`~repro.core.distance_types.type_mask` bitmask),
+one :class:`PlanEntry` per ``(tau, alternative)`` it can extend to, with
+the components to test, the case, and the bag query for every stranger
+count.  The repaired index shares the plan as it shares the
+decomposition.
+
+Answering (Section 5.2.2): mask the prefix with ``k'(k'-1)/2`` distance
+tests and walk that mask's entries; for each: check the global sentence,
+test the components not containing ``x_k`` inside their canonical bags,
+then
 
 * **Case II** (``x_k`` close to some prefix position ``j*``): search the
   kernel of ``X(a_{j*})`` with the bag query
@@ -35,6 +44,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from dataclasses import dataclass
 
 from repro.contracts import (
     amortized,
@@ -46,7 +56,7 @@ from repro.contracts import (
 from repro.core.bag_solver import BagSolver
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.distance_index import DistanceIndex
-from repro.core.distance_types import DistanceType, type_of
+from repro.core.distance_types import DistanceType, type_mask
 from repro.core.normal_form import Alternative, Decomposition, decompose
 from repro.core.skip_pointers import SkipPointers
 from repro.core.unary import model_check
@@ -68,7 +78,112 @@ from repro.logic.syntax import (
 KERNEL_COLOR = "@K"
 
 
-@frozen_after_build(cells={"_solvers": "_memo_lock", "_sentence_cache": "_memo_lock", "_bag_query_cache": "_memo_lock", "_far_structures_cache": "_memo_lock"})
+@dataclass(frozen=True, slots=True, eq=False)
+class PlanEntry:
+    """One ``(tau, alternative)`` candidate of the answer plan, resolved.
+
+    Every field is syntax (the decomposition and the type scale), never
+    graph state, so a repaired index shares its entries.
+    """
+
+    #: the alternative's global sentence ``xi^i_tau``
+    sentence: Formula
+    #: the components without ``x_k`` that carry a local formula, as
+    #: ``(anchor position, sorted positions, psi, their variables)``
+    tests: tuple[tuple[int, tuple[int, ...], Formula, tuple[Var, ...]], ...]
+    #: Case II: the prefix position whose bag is searched; None in Case I
+    j_star: int | None
+    #: Case II: the prefix positions of ``x_k``'s component, sorted
+    close: tuple[int, ...]
+    #: Case II: the prefix positions outside it, the stranger candidates
+    outside: tuple[int, ...]
+    #: Case I: the singleton local formula ``psi(x_k)``; None in Case II
+    far_psi: Formula | None
+    #: the bag query and its prefix-variable order per stranger count p < k
+    queries: tuple[tuple[Formula, tuple[Var, ...]], ...]
+
+
+@pseudo_linear(note="preprocessing: Step 7 for one (tau, alternative, p)")
+def _bag_query(
+    alt: Alternative,
+    tau: DistanceType,
+    component: frozenset[int],
+    p: int,
+    free_order: tuple[Var, ...],
+    radius: int,
+) -> tuple[Formula, tuple[Var, ...]]:
+    """The paper's ``Psi^i_{tau,J,p}`` and its prefix variable order.
+
+    The query is ``psi_J ∧ @K(x_k) ∧ [dist constraints from tau between
+    x_k and the J-prefix] ∧ [dist > r to p far in-bag strangers]``."""
+    last = len(free_order) - 1
+    last_var = free_order[last]
+    parts: list[Formula] = [alt.local_for(component), ColorAtom(KERNEL_COLOR, last_var)]
+    prefix_vars: list[Var] = []
+    for j in sorted(component - {last}):
+        var = free_order[j]
+        prefix_vars.append(var)
+        atom = DistAtom(var, last_var, radius)
+        parts.append(atom if tau.has_edge(j, last) else Not(atom))
+    for index in range(p):
+        stranger = Var(f"@far{index}")
+        prefix_vars.append(stranger)
+        parts.append(Not(DistAtom(stranger, last_var, radius)))
+    return (conjunction(parts), tuple(prefix_vars))
+
+
+@pseudo_linear(note="preprocessing, independent of the graph: 2^(k choose 2) types")
+def resolve_plan(decomp: Decomposition) -> dict[int, tuple[PlanEntry, ...]]:
+    """The answer plan: prefix type mask -> its resolved candidates.
+
+    A prefix of mask ``m`` can only complete to a type ``tau`` whose
+    restriction to the prefix positions has mask ``m``; each such
+    ``tau`` contributes one entry per alternative, in decomposition
+    order.
+    """
+    free_order = decomp.free_order
+    k = len(free_order)
+    last = k - 1
+    singleton = frozenset((last,))
+    plan: dict[int, list[PlanEntry]] = {}
+    for tau, alternatives in decomp.per_type.items():
+        if not alternatives:
+            continue
+        component = tau.component_of(last)
+        if component == singleton:
+            j_star, close, outside = None, (), ()
+        else:
+            close = tuple(sorted(component - singleton))
+            j_star = min(j for j in close if tau.has_edge(j, last))
+            outside = tuple(i for i in range(last) if i not in component)
+        entries = plan.setdefault(type_mask(range(last), tau.has_edge), [])
+        for alt in alternatives:
+            tests = []
+            for positions, psi in alt.locals:
+                if last in positions or isinstance(psi, Top):
+                    continue
+                ordered = tuple(sorted(positions))
+                tests.append(
+                    (ordered[0], ordered, psi, tuple(free_order[i] for i in ordered))
+                )
+            entries.append(
+                PlanEntry(
+                    sentence=alt.sentence,
+                    tests=tuple(tests),
+                    j_star=j_star,
+                    close=close,
+                    outside=outside,
+                    far_psi=alt.local_for(singleton) if j_star is None else None,
+                    queries=tuple(
+                        _bag_query(alt, tau, component, p, free_order, decomp.radius)
+                        for p in range(k)
+                    ),
+                )
+            )
+    return {mask: tuple(entries) for mask, entries in plan.items()}
+
+
+@frozen_after_build(cells={"_solvers": "_memo_lock", "_sentence_cache": "_memo_lock", "_far_structures_cache": "_memo_lock"})
 class LastCoordinateIndex:
     """Lemma 5.2 for a fixed query; see the module docstring."""
 
@@ -109,19 +224,22 @@ class LastCoordinateIndex:
             self.kernels = [
                 kernel_of_bag(graph, bag, self.r) for bag in self.cover.bags
             ]
+        # Step 7 and the candidate bookkeeping, resolved per prefix type
+        self._plan = resolve_plan(self.decomp)
         self._solvers: dict[int, tuple[BagSolver, dict[int, int], list[int]]] = {}
         self._sentence_cache: dict[Formula, bool] = {}
-        self._bag_query_cache: dict[tuple, tuple[Formula, tuple[Var, ...]]] = {}
         # Steps 12-13: Case-I structures per distinct singleton-local psi
         self._far_structures_cache: dict[Formula, tuple[list[int], SkipPointers]] = {}
         if config.precompute_far:
             with _trace_span("last.far_structures"):
-                last = self.k - 1
-                for tau, alternatives in self.decomp.per_type.items():
-                    if tau.component_of(last) != frozenset((last,)):
-                        continue
-                    for alt in alternatives:
-                        self._far_structures(alt.local_for(frozenset((last,))))
+                for entry in self.plan_entries():
+                    if entry.far_psi is not None:
+                        self._far_structures(entry.far_psi)
+
+    @read_only
+    def plan_entries(self) -> list[PlanEntry]:
+        """Every entry of the answer plan (each ``(tau, alternative)`` once)."""
+        return [entry for entries in self._plan.values() for entry in entries]
 
     # ------------------------------------------------------------------
     # lazy per-bag machinery
@@ -198,40 +316,6 @@ class LastCoordinateIndex:
         return cached
 
     # ------------------------------------------------------------------
-    # bag queries (the paper's Ψ^i_{τ,J,p}, Step 7)
-    # ------------------------------------------------------------------
-    @amortized("O(1)", note="query built once per (alt, tau, J, p), then cached")
-    @read_only
-    def _bag_query(
-        self, alt: Alternative, tau: DistanceType, component: frozenset[int], p: int
-    ) -> tuple[Formula, tuple[Var, ...]]:
-        """Build (and cache) the bag query and its prefix variable order.
-
-        The query is ``psi_J ∧ @K(x_k) ∧ [dist constraints from tau between
-        x_k and the J-prefix] ∧ [dist > r to p far in-bag strangers]``."""
-        key = (alt, tau, component, p)
-        cached = self._bag_query_cache.get(key)
-        if cached is not None:
-            return cached
-        last = self.k - 1
-        last_var = self.free_order[-1]
-        parts: list[Formula] = [alt.local_for(component), ColorAtom(KERNEL_COLOR, last_var)]
-        prefix_vars: list[Var] = []
-        for j in sorted(component - {last}):
-            var = self.free_order[j]
-            prefix_vars.append(var)
-            atom = DistAtom(var, last_var, self.r)
-            parts.append(atom if tau.has_edge(j, last) else Not(atom))
-        for index in range(p):
-            stranger = Var(f"@far{index}")
-            prefix_vars.append(stranger)
-            parts.append(Not(DistAtom(stranger, last_var, self.r)))
-        result = (conjunction(parts), tuple(prefix_vars))
-        with self._memo_lock:
-            result = self._bag_query_cache.setdefault(key, result)
-        return result
-
-    # ------------------------------------------------------------------
     # answering phase (Section 5.2.2)
     # ------------------------------------------------------------------
     @constant_time(note="Lemma 5.2: constantly many (tau, alt) candidates")
@@ -245,18 +329,20 @@ class LastCoordinateIndex:
         if lower >= self.graph.n:
             return None
         lower = max(lower, 0)
-        prefix_type = type_of(prefix, self.dist.test)
-        last = self.k - 1
         best: int | None = None
-        for tau, alternatives in self.decomp.per_type.items():
-            if not alternatives:
+        for entry in self._plan.get(type_mask(prefix, self.dist.test), ()):
+            # contract: amortized — cached after the first check of this sentence
+            if not self._sentence_true(entry.sentence):
                 continue
-            if tau.restrict(frozenset(range(last))) != prefix_type:
+            # items (b)/(d): components not containing x_k test directly
+            if entry.tests and not self._test_components(entry, prefix):
                 continue
-            for alt in alternatives:
-                candidate = self._candidate(tau, alt, prefix, lower)
-                if candidate is not None and (best is None or candidate < best):
-                    best = candidate
+            if entry.j_star is None:
+                candidate = self._case_far(entry, prefix, lower)
+            else:
+                candidate = self._case_near(entry, prefix, lower)
+            if candidate is not None and (best is None or candidate < best):
+                best = candidate
         return best
 
     @constant_time(note="Corollary 2.4 via one first_last call")
@@ -267,75 +353,39 @@ class LastCoordinateIndex:
             raise ValueError(f"expected a {self.k}-tuple, got {values!r}")
         return self.first_last(values[:-1], values[-1]) == values[-1]
 
-    # -- per-(tau, alternative) candidate ---------------------------------
-    @constant_time(note="one candidate per (tau, alternative)")
+    # -- per-entry work ----------------------------------------------------
+    @constant_time(note="one memoized bag test per component, at most k")
     @read_only
-    def _candidate(
-        self,
-        tau: DistanceType,
-        alt: Alternative,
-        prefix: tuple[int, ...],
-        lower: int,
-    ) -> int | None:
-        # contract: amortized — cached after the first check of this sentence
-        if not self._sentence_true(alt.sentence):
-            return None
-        last = self.k - 1
-        component_of_last = tau.component_of(last)
-        # items (b)/(d): components not containing x_k test directly
-        for positions, psi in alt.locals:
-            if last in positions or isinstance(psi, Top):
-                continue
-            if not self._test_component(positions, psi, prefix):
-                return None
-        if component_of_last == frozenset((last,)):
-            return self._case_far(tau, alt, prefix, lower)
-        return self._case_near(tau, alt, component_of_last, prefix, lower)
-
-    @constant_time(note="one memoized bag test")
-    @read_only
-    def _test_component(
-        self, positions: frozenset[int], psi: Formula, prefix: tuple[int, ...]
-    ) -> bool:
-        anchor = prefix[min(positions)]
-        bag_id = self.cover.bag_of(anchor)
-        # contract: amortized — lazy solver build, cached per bag
-        solver, to_new, _ = self._solver(bag_id)
-        variables = tuple(self.free_order[i] for i in sorted(positions))
-        try:
-            values = tuple(to_new[prefix[i]] for i in sorted(positions))
-        except KeyError:
-            # a component member escaped the bag: impossible for a prefix of
-            # this distance type, so the alternative cannot match
-            return False
-        # contract: amortized — BagSolver.test is memoized per key
-        return solver.test(psi, variables, values)
+    def _test_components(self, entry: PlanEntry, prefix: tuple[int, ...]) -> bool:
+        for anchor, positions, psi, variables in entry.tests:
+            # contract: amortized — lazy solver build, cached per bag
+            solver, to_new, _ = self._solver(self.cover.bag_of(prefix[anchor]))
+            try:
+                values = tuple([to_new[prefix[i]] for i in positions])
+            except KeyError:
+                # a component member escaped the bag: impossible for a
+                # prefix of this distance type, so the entry cannot match
+                return False
+            # contract: amortized — BagSolver.test is memoized per key
+            if not solver.test(psi, variables, values):
+                return False
+        return True
 
     @constant_time(note="Case II: one kernel search in the j*-bag")
     @read_only
     def _case_near(
-        self,
-        tau: DistanceType,
-        alt: Alternative,
-        component: frozenset[int],
-        prefix: tuple[int, ...],
-        lower: int,
+        self, entry: PlanEntry, prefix: tuple[int, ...], lower: int
     ) -> int | None:
         """Case II: ``x_k`` close to the prefix part of its component."""
-        last = self.k - 1
-        j_star = min(j for j in component if j != last and tau.has_edge(j, last))
-        bag_id = self.cover.bag_of(prefix[j_star])
+        bag_id = self.cover.bag_of(prefix[entry.j_star])
         # contract: amortized — lazy solver build, cached per bag
         solver, to_new, to_old = self._solver(bag_id)
         strangers = [
-            prefix[i]
-            for i in range(last)
-            if i not in component and self.cover.contains(bag_id, prefix[i])
+            prefix[i] for i in entry.outside if self.cover.contains(bag_id, prefix[i])
         ]
-        # contract: amortized — query construction cached per (alt, tau, J, p)
-        query, prefix_vars = self._bag_query(alt, tau, component, len(strangers))
+        query, prefix_vars = entry.queries[len(strangers)]
         try:
-            close_values = [to_new[prefix[j]] for j in sorted(component - {last})]
+            close_values = [to_new[prefix[j]] for j in entry.close]
         except KeyError:
             return None  # a J-member escaped the bag: no solution of this type
         values = tuple(close_values) + tuple(to_new[v] for v in strangers)
@@ -350,17 +400,11 @@ class LastCoordinateIndex:
     @constant_time(note="Case I: 2k'+1 candidates (Section 5.2.2)")
     @read_only
     def _case_far(
-        self,
-        tau: DistanceType,
-        alt: Alternative,
-        prefix: tuple[int, ...],
-        lower: int,
+        self, entry: PlanEntry, prefix: tuple[int, ...], lower: int
     ) -> int | None:
         """Case I: ``x_k`` far from every prefix position."""
-        last = self.k - 1
-        psi = alt.local_for(frozenset((last,)))
         # contract: amortized — Steps 12-13 built once per psi (precomputable)
-        _, skips = self._far_structures(psi)
+        _, skips = self._far_structures(entry.far_psi)
         bag_ids = sorted({self.cover.bag_of(a) for a in prefix})
         last_var = self.free_order[-1]
         best: int | None = None
@@ -368,10 +412,7 @@ class LastCoordinateIndex:
             # contract: amortized — lazy solver build, cached per bag
             solver, to_new, to_old = self._solver(bag_id)
             strangers = [a for a in prefix if self.cover.contains(bag_id, a)]
-            # contract: amortized — query construction cached per (alt, tau, J, p)
-            query, prefix_vars = self._bag_query(
-                alt, tau, frozenset((last,)), len(strangers)
-            )
+            query, prefix_vars = entry.queries[len(strangers)]
             local_lower = bisect_left(to_old, lower)
             if local_lower >= len(to_old):
                 continue

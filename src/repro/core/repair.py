@@ -415,6 +415,7 @@ def _repair_last(
     new.k = old.k
     new.config = old.config
     new.decomp = old.decomp  # pure syntax: graph-independent
+    new._plan = old._plan  # likewise
     new.r = old.r
 
     if kind == "color":
@@ -481,7 +482,6 @@ def _repair_last(
         if bag_id not in damaged
     }
     new._sentence_cache = {}  # sentences must be re-checked on the new graph
-    new._bag_query_cache = dict(old._bag_query_cache)  # pure syntax
     new._far_structures_cache = {}
     if damaged:
         for psi, (targets, _) in old._far_structures_cache.items():
@@ -626,15 +626,11 @@ def register_dump(index: object) -> dict:
             break
         last = node.last
         level["radius"] = last.r
-        last_pos = last.k - 1
         far: dict[str, list[int]] = {}
-        for tau, alternatives in last.decomp.per_type.items():
-            if tau.component_of(last_pos) != frozenset((last_pos,)):
-                continue
-            for alt in alternatives:
-                psi = alt.local_for(frozenset((last_pos,)))
-                targets, _ = last._far_structures(psi)
-                far[repr(psi)] = list(targets)
+        for entry in last.plan_entries():
+            if entry.far_psi is not None:
+                targets, _ = last._far_structures(entry.far_psi)
+                far[repr(entry.far_psi)] = list(targets)
         level["far_targets"] = dict(sorted(far.items()))
         prefix = node._prefix
         if node.k == 2:

@@ -5,7 +5,13 @@ binary relation ``E`` and unary colors.  FO+ (Section 5) adds atoms
 ``dist(x, y) <= d`` for constants ``d``.
 
 All nodes are immutable; formulas compare and hash structurally, so they
-can key memoization tables in the engine.  Convenience operators::
+can key memoization tables in the engine.  Each node (and each
+:class:`Var`) computes its hash once, on first use, and keeps it in a
+slot that is not a dataclass field: a memo lookup keyed by a deep
+formula then costs one slot read, not a walk over every node.  The
+pickled state of a node is its fields only, because string hashes differ
+per process; a loaded node hashes afresh where it is loaded.
+Convenience operators::
 
     phi & psi     -> And(phi, psi)
     phi | psi     -> Or(phi, psi)
@@ -15,11 +21,39 @@ can key memoization tables in the engine.  Convenience operators::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
+class _HashOnce:
+    """Declares the ``_hash`` slot that :func:`_hash_once` fills."""
+
+    __slots__ = ("_hash",)
+
+
+def _hash_once(cls):
+    """Give a frozen dataclass the field hash it had, computed once.
+
+    The value equals the generated ``hash(tuple(fields))``; it is cached
+    in the ``_hash`` slot, which the dataclass pickle state (its fields)
+    leaves out.
+    """
+    names = tuple(f.name for f in fields(cls))
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(tuple([getattr(self, name) for name in names]))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True, slots=True)
-class Var:
+class Var(_HashOnce):
     """A first-order variable, identified by name."""
 
     name: str
@@ -28,7 +62,7 @@ class Var:
         return self.name
 
 
-class Formula:
+class Formula(_HashOnce):
     """Base class for all formula nodes."""
 
     __slots__ = ()
@@ -46,6 +80,7 @@ class Formula:
         return Or((Not(self), other))
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False)
 class Top(Formula):
     """The constant true."""
@@ -54,6 +89,7 @@ class Top(Formula):
         return "true"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False)
 class Bottom(Formula):
     """The constant false."""
@@ -62,6 +98,7 @@ class Bottom(Formula):
         return "false"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False)
 class EdgeAtom(Formula):
     """``E(x, y)`` — the (symmetric) edge relation."""
@@ -73,6 +110,7 @@ class EdgeAtom(Formula):
         return f"E({self.left}, {self.right})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False)
 class ColorAtom(Formula):
     """``C(x)`` — vertex ``x`` carries color ``C``."""
@@ -84,6 +122,7 @@ class ColorAtom(Formula):
         return f"{self.color}({self.var})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False)
 class EqAtom(Formula):
     """``x = y``."""
@@ -95,6 +134,7 @@ class EqAtom(Formula):
         return f"{self.left} = {self.right}"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False)
 class DistAtom(Formula):
     """``dist(x, y) <= bound`` — the FO+ distance atom (Section 5.1.2).
@@ -114,6 +154,7 @@ class DistAtom(Formula):
         return f"dist({self.left}, {self.right}) <= {self.bound}"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False)
 class Not(Formula):
     """Negation."""
@@ -135,6 +176,7 @@ def _flatten(cls, parts):
     return tuple(out)
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False, init=False)
 class And(Formula):
     """N-ary conjunction (flattened, order-preserving)."""
@@ -150,6 +192,7 @@ class And(Formula):
         return "(" + " & ".join(map(repr, self.parts)) + ")"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False, init=False)
 class Or(Formula):
     """N-ary disjunction (flattened, order-preserving)."""
@@ -165,6 +208,7 @@ class Or(Formula):
         return "(" + " | ".join(map(repr, self.parts)) + ")"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False)
 class Exists(Formula):
     """``exists var. body``."""
@@ -176,6 +220,7 @@ class Exists(Formula):
         return f"(exists {self.var}. {self.body})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False)
 class Forall(Formula):
     """``forall var. body``."""
@@ -205,11 +250,3 @@ def disjunction(parts) -> Formula:
     if len(parts) == 1:
         return parts[0]
     return Or(parts)
-
-
-ATOM_TYPES = (Top, Bottom, EdgeAtom, ColorAtom, EqAtom, DistAtom)
-
-
-def is_atom(phi: Formula) -> bool:
-    """True for atoms and the boolean constants."""
-    return isinstance(phi, ATOM_TYPES)

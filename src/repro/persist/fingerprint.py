@@ -51,7 +51,11 @@ from repro.logic.syntax import Formula, Var
 #: pickled ``EngineConfig`` still carries the removed ``workers`` field
 #: load unchanged: unpickling puts it in the instance ``__dict__``, where
 #: no field-based comparison, hash or fingerprint reads it.
-FORMAT_VERSION = 4
+#: v5: ``LastCoordinateIndex`` pickles its answer plan (``_plan``, the
+#: resolved ``PlanEntry`` records per prefix type mask, bag queries
+#: included) and drops its per-call bag-query memo; a v4 index has no
+#: plan to answer from.
+FORMAT_VERSION = 5
 
 
 def graph_digest(graph: ColoredGraph) -> str:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.distance_types import (
-    DistanceType,
-    all_types,
-    prefix_consistent,
-    type_of,
-)
+from repro.core.distance_types import DistanceType, all_types, type_mask
 
 
 def edge_set(*pairs):
@@ -51,16 +46,21 @@ def test_restrict():
 
 
 def test_type_of_uses_oracle():
-    values = (10, 11, 50)
+    values = (10, 11, 50, 52)
     close = lambda a, b: abs(a - b) <= 5
-    tau = type_of(values, close)
-    assert tau == DistanceType(3, edge_set((0, 1)))
+    # bit j(j-1)/2 + i for the pair i < j: (0,1) is bit 0, (2,3) is bit 5
+    assert type_mask(values, close) == 0b100001
+    tau = DistanceType(4, edge_set((0, 1), (2, 3)))
+    assert type_mask(range(4), tau.has_edge) == type_mask(values, close)
+    # a prefix's mask is the low bits of the whole tuple's
+    assert type_mask(values[:3], close) == type_mask(values, close) & 0b111
+    assert type_mask((7,), close) == 0
 
 
-def test_prefix_consistent():
-    tau = DistanceType(3, edge_set((0, 1), (1, 2)))
-    assert prefix_consistent(tau, DistanceType(2, edge_set((0, 1))))
-    assert not prefix_consistent(tau, DistanceType(2))
+def test_type_mask_is_a_bijection_on_types():
+    for k in (2, 3, 4):
+        masks = {type_mask(range(k), tau.has_edge) for tau in all_types(k)}
+        assert masks == set(range(1 << (k * (k - 1) // 2)))
 
 
 def test_invalid_edges_rejected():

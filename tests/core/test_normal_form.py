@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from repro.core.distance_types import type_of
+from repro.core.distance_types import type_mask
 from repro.core.normal_form import (
     DecompositionError,
     cross_requirement,
@@ -161,7 +161,13 @@ class TestDecompose:
             g = random_planar_like_graph(30, seed=13)
             for _ in range(120):
                 values = tuple(rng.randrange(g.n) for _ in order)
-                tau = type_of(values, lambda a, b: distance(g, a, b, cutoff=d.radius) <= d.radius)
+                mask = type_mask(
+                    values, lambda a, b: distance(g, a, b, cutoff=d.radius) <= d.radius
+                )
+                tau = next(
+                    t for t in d.per_type
+                    if type_mask(range(len(values)), t.has_edge) == mask
+                )
                 verdict = _decomposition_verdict(g, d, tau, values)
                 assert verdict == evaluate(g, phi, dict(zip(order, values))), (
                     text,

@@ -1,9 +1,10 @@
 """The full workload registry against the full family registry.
 
 The widest correctness sweep in the suite: every indexable arity-2
-workload on a member of every generated family (including the newer
-hex-grid / partial-k-tree / chord-cycle families), indexed answers vs
-brute force.
+workload, plus the arity-3 chain and far-witness queries (the only ones
+whose prefixes have distance types of their own), on a member of every
+generated family (including the newer hex-grid / partial-k-tree /
+chord-cycle families), indexed answers vs brute force.
 """
 
 import random
@@ -13,6 +14,7 @@ import pytest
 from repro.baselines.naive import NaiveIndex
 from repro.core.config import EngineConfig
 from repro.core.engine import build_index
+from repro.core.next_solution import RelaxedPrefixIndex
 from repro.graphs.generators import (
     caterpillar,
     hex_grid,
@@ -22,7 +24,7 @@ from repro.graphs.generators import (
     random_forest,
 )
 from repro.logic.parser import parse_formula
-from repro.workloads import indexable
+from repro.workloads import by_name, indexable
 
 TINY = EngineConfig(dist_naive_threshold=10, bag_naive_threshold=12)
 
@@ -36,19 +38,22 @@ FAMILY_SAMPLES = {
 }
 
 
+WORKLOADS = indexable(arity=2) + [by_name("path-3"), by_name("far-witness-3")]
+
+
 @pytest.mark.parametrize("family", sorted(FAMILY_SAMPLES), ids=sorted(FAMILY_SAMPLES))
-@pytest.mark.parametrize(
-    "workload", indexable(arity=2), ids=[w.name for w in indexable(arity=2)]
-)
+@pytest.mark.parametrize("workload", WORKLOADS, ids=[w.name for w in WORKLOADS])
 def test_workloads_on_all_families(family, workload):
     g = FAMILY_SAMPLES[family]()
     phi = parse_formula(workload.text)
     index = build_index(g, phi, config=TINY)
     assert index.method == "indexed", (family, workload.name)
+    if workload.name == "far-witness-3":
+        assert isinstance(index._impl._prefix, RelaxedPrefixIndex)
     naive = NaiveIndex(g, phi, index.free_order)
     assert list(index.enumerate()) == naive.solutions, (family, workload.name)
     rng = random.Random(hash((family, workload.name)) & 0xFFFF)
     for _ in range(15):
-        t = tuple(rng.randrange(g.n) for _ in range(2))
+        t = tuple(rng.randrange(g.n) for _ in range(index.arity))
         assert index.test(t) == naive.test(t)
         assert index.next_solution(t) == naive.next_solution(t)

@@ -213,15 +213,9 @@ def _running(pid: int) -> bool:
     return True
 
 
-@pytestmark_pool
-def test_serve_pool_sigterm_reaps_workers():
-    """A plain ``kill``, even repeated, stops ``repro serve --pool-workers``
-    like ^C does.
-
-    The parent must close the pool (SIGTERM and reap every worker) and
-    exit 0; no worker may be left running as an orphan, and a second
-    SIGTERM during that teardown must not cut it short.
-    """
+def _signal_twice_and_check_reaped(signum: int) -> None:
+    """Start ``repro serve --pool-workers 2``, send ``signum`` twice 10 ms
+    apart, and check the parent exits 0 with no worker left running."""
     import re
     import subprocess
     import sys
@@ -246,9 +240,9 @@ def test_serve_pool_sigterm_reaps_workers():
             client = ServiceClient(f"http://{match.group(1)}:{match.group(2)}")
             pids = [int(w["worker"]["pid"]) for w in client.stats()["workers"]]
             assert len(pids) == 2
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(signum)
             time.sleep(0.01)
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(signum)
             assert proc.wait(timeout=30) == 0
             deadline = time.monotonic() + 5.0
             while any(map(_running, pids)) and time.monotonic() < deadline:
@@ -261,3 +255,23 @@ def test_serve_pool_sigterm_reaps_workers():
                 os.killpg(proc.pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
                 pass
+
+
+@pytestmark_pool
+def test_serve_pool_sigterm_reaps_workers():
+    """A plain ``kill``, even repeated, stops ``repro serve --pool-workers``
+    like ^C does.
+
+    The parent must close the pool (SIGTERM and reap every worker) and
+    exit 0; no worker may be left running as an orphan, and a second
+    SIGTERM during that teardown must not cut it short.
+    """
+    _signal_twice_and_check_reaped(signal.SIGTERM)
+
+
+@pytestmark_pool
+def test_serve_pool_double_sigint_reaps_workers():
+    """A second ^C during the pool's teardown is ignored: the parent
+    still reaps every worker, closes its sockets and exits 0, instead of
+    raising ``KeyboardInterrupt`` inside :meth:`PoolServer.close`."""
+    _signal_twice_and_check_reaped(signal.SIGINT)
