@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from repro.contracts import builds, constant_time, frozen_after_build, pseudo_linear, read_only
 from repro.covers.neighborhood_cover import build_cover
-from repro.metrics.runtime import count as _metrics_count
 from repro.graphs.colored_graph import ColoredGraph
 from repro.graphs.neighborhoods import bounded_bfs
 from repro.splitter.strategies import SplitterStrategy, default_strategy
@@ -154,7 +153,6 @@ class DistanceIndex:
     @read_only
     def test(self, a: int, b: int) -> bool:
         """Is ``dist(a, b) <= radius``?  Constant time."""
-        _metrics_count("distance.test")
         if a == b:
             return True
         if self._mode == "naive":
@@ -187,7 +185,6 @@ class DistanceIndex:
         the ``R_i`` recolorings (Step 4) store distances, not just the
         radius-``r`` threshold.
         """
-        _metrics_count("distance.distance")
         if a == b:
             return 0
         if self._mode == "naive":

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from repro.baselines.naive import NaiveIndex
 from repro.contracts import constant_time, delay, frozen_after_build, pseudo_linear, read_only
@@ -25,9 +26,6 @@ from repro.graphs.colored_graph import ColoredGraph
 from repro.logic.parser import parse_formula
 from repro.logic.syntax import Formula, Var
 from repro.logic.transform import free_variables
-from repro.metrics.runtime import count as _metrics_count
-from repro.metrics.runtime import delay_recorder as _delay_recorder
-from repro.metrics.runtime import observe as _metrics_observe
 from repro.trace.runtime import span as _trace_span
 
 
@@ -147,17 +145,16 @@ class QueryIndex:
         vertex domain ``[0, n)`` are simply not solutions (``False``),
         never an internal error.
         """
-        _metrics_count("engine.test")
-        probe = tuple(values)
-        if len(probe) != self.arity:
-            raise ValueError(
-                f"expected a {self.arity}-tuple, got {len(probe)} values"
-            )
-        n = self.graph.n
-        for v in probe:
-            if v < 0 or v >= n:
-                return False
         with _trace_span("engine.test"):
+            probe = tuple(values)
+            if len(probe) != self.arity:
+                raise ValueError(
+                    f"expected a {self.arity}-tuple, got {len(probe)} values"
+                )
+            n = self.graph.n
+            for v in probe:
+                if v < 0 or v >= n:
+                    return False
             return self._impl.test(probe)
 
     @constant_time(note="Theorem 2.3 via the chosen implementation")
@@ -169,16 +166,15 @@ class QueryIndex:
         integer coordinates are accepted and normalized to the smallest
         domain tuple ``>= start`` first (constant time, arity fixed).
         """
-        _metrics_count("engine.next_solution")
-        probe = tuple(start)
-        if len(probe) != self.arity:
-            raise ValueError(
-                f"expected a {self.arity}-tuple, got {len(probe)} values"
-            )
-        clamped = _clamp_start(probe, self.graph.n)
-        if clamped is None:
-            return None
         with _trace_span("engine.next_solution"):
+            probe = tuple(start)
+            if len(probe) != self.arity:
+                raise ValueError(
+                    f"expected a {self.arity}-tuple, got {len(probe)} values"
+                )
+            clamped = _clamp_start(probe, self.graph.n)
+            if clamped is None:
+                return None
             return self._impl.next_solution(clamped)
 
     @delay("O(1)", note="Corollary 2.5; naive fallback materializes upfront")
@@ -189,63 +185,45 @@ class QueryIndex:
         """Corollary 2.5: solutions ``>= start``, increasing, constant delay.
 
         Omitting ``start`` yields the whole result set; passing a tuple
-        resumes mid-stream for free (pagination) — on the naive fallback
-        the resume point is found by one binary search, never by
-        filtering the materialized list.
+        resumes mid-stream for free (pagination).  Like
+        :meth:`next_solution`, ``start`` is any integer lower bound of the
+        right arity, normalized once to the smallest domain tuple
+        ``>= start``.  On the naive fallback the resume point is found by
+        one binary search, never by filtering the materialized list.
         """
+        clamped = None
+        if start is not None:
+            probe = tuple(start)
+            if len(probe) != self.arity:
+                raise ValueError(
+                    f"expected a {self.arity}-tuple, got {len(probe)} values"
+                )
+            clamped = _clamp_start(probe, self.graph.n)
+            if clamped is None:
+                return iter(())
         if isinstance(self._impl, NaiveIndex):
-            return self._impl.enumerate(None if start is None else tuple(start))
-        return enumerate_solutions(
-            self._impl, None if start is None else tuple(start)
-        )
+            return self._impl.enumerate(clamped)
+        return enumerate_solutions(self._impl, clamped)
 
-    @delay("O(1)", note="Corollary 2.5 pagination: one next_solution call per item")
+    @delay("O(1)", note="Corollary 2.5 pagination: the first limit + 1 answers")
     @read_only
     def enumerate_page(
         self, start: Sequence[int] | None = None, limit: int = 100
     ) -> Page:
         """One page of :meth:`enumerate`: up to ``limit`` solutions from ``start``.
 
-        First-class pagination on top of Theorem 2.3's oracle: every
-        page costs ``O(limit)`` oracle calls regardless of where in the
-        result set it starts, so resuming from :attr:`Page.next_cursor`
-        is exactly as cheap as starting over — there is no hidden
+        First-class pagination on top of Theorem 2.3's oracle: a page is
+        the first ``limit + 1`` answers of :meth:`enumerate`, so it costs
+        ``O(limit)`` oracle calls regardless of where in the result set
+        it starts, and resuming from :attr:`Page.next_cursor` (the extra
+        answer) is exactly as cheap as starting over — there is no hidden
         re-scan.  Raises ``ValueError`` on a non-positive ``limit``.
-
-        Per-answer delays land in the same ``enumeration.delay_seconds``
-        histogram :func:`~repro.core.enumeration.enumerate_solutions`
-        feeds (when :func:`repro.metrics.collect` is active).
         """
         if limit < 1:
             raise ValueError(f"page limit must be >= 1, got {limit}")
-        if self.arity == 0:
-            return Page([()] if self.test(()) else [], None)
-        n = self.graph.n
-        if n == 0:
-            return Page([], None)
-        cursor = tuple(start) if start is not None else (0,) * self.arity
-        record = _delay_recorder("enumeration.delay_seconds")
-        tick = time.perf_counter() if record is not None else 0.0
-        items: list[tuple[int, ...]] = []
-        while len(items) < limit:
-            # each answer's computation is one "enumerate.step" span — the
-            # unit the guarantee watchdog holds to the constant-delay budget
-            with _trace_span("enumerate.step"):
-                found = self.next_solution(cursor)
-            if found is None:
-                return Page(items, None)
-            if record is not None:
-                now = time.perf_counter()
-                record(now - tick)
-                tick = now
-            items.append(found)
-            bumped = increment_tuple(found, n)
-            if bumped is None:
-                return Page(items, None)
-            cursor = bumped
-        # one O(1) peek decides between "more pages" and "exhausted", and
-        # doubles as the resume point so the next page skips straight to it
-        return Page(items, self.next_solution(cursor))
+        items = list(islice(self.enumerate(start), limit + 1))
+        next_cursor = items.pop() if len(items) > limit else None
+        return Page(items, next_cursor)
 
     @read_only
     def count(self) -> int:
@@ -381,7 +359,6 @@ class QueryIndex:
         start = time.perf_counter()
         impl = repaired_impl(self.graph, new_graph, self._impl, u, v, kind)
         elapsed = time.perf_counter() - start
-        _metrics_observe("engine.update_seconds", elapsed)
         return replace(
             self,
             graph=new_graph,
@@ -462,7 +439,12 @@ def build_index(
         graph, phi, free_order=free_order, config=config, method=method
     )
     start = time.perf_counter()
-    with _trace_span("engine.build_index", method=method, arity=len(order)) as sp:
+    with _trace_span(
+        "engine.build_index",
+        "engine.preprocessing_seconds",
+        method=method,
+        arity=len(order),
+    ) as sp:
         if method == "naive":
             impl: object = NaiveIndex(graph, phi, order)
             chosen = "naive"
@@ -478,7 +460,6 @@ def build_index(
         if sp is not None:
             sp.attributes["chosen"] = chosen
     elapsed = time.perf_counter() - start
-    _metrics_observe("engine.preprocessing_seconds", elapsed)
     return QueryIndex(
         graph, phi, order, chosen, elapsed, impl, _static_fingerprint=static
     )

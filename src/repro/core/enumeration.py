@@ -13,7 +13,6 @@ from collections.abc import Iterable, Iterator
 from repro.contracts import constant_time, delay
 from repro.core.next_solution import NextSolutionIndex, increment_tuple
 from repro.metrics.runtime import active as _metrics_active
-from repro.metrics.runtime import delay_recorder as _delay_recorder
 from repro.trace.runtime import span as _trace_span
 
 
@@ -44,10 +43,10 @@ def enumerate_solutions(
     makes every suffix of the stream equally cheap, which is what makes
     pagination over huge result sets practical.
 
-    Inside ``repro.metrics.collect()`` the per-answer delays land in the
-    ``enumeration.delay_seconds`` histogram (experiment E9's subject);
-    the delay then includes whatever the consumer does between answers,
-    so measurement loops should consume tightly.
+    Each answer's computation is one ``enumerate.step`` span; inside
+    ``repro.metrics.collect()`` its duration lands in the
+    ``enumeration.delay_seconds`` histogram.  The final step, which finds
+    no further answer, is a step too.
     """
     if index.k == 0:
         if index.test(()):
@@ -57,22 +56,16 @@ def enumerate_solutions(
         return
     if start is None:
         start = tuple([0] * index.k)
-    record = _delay_recorder("enumeration.delay_seconds")
-    tick = time.perf_counter() if record is not None else 0.0
     # each span covers exactly one answer's computation (never consumer
     # time between yields) — the unit the guarantee watchdog budgets
-    with _trace_span("enumerate.step", first=True) as sp:
+    with _trace_span("enumerate.step", "enumeration.delay_seconds", first=True) as sp:
         before = _ops_total() if sp is not None else None
         current = index.next_solution(tuple(start))
         if sp is not None and before is not None:
             sp.attributes["ops"] = _ops_total() - before
     while current is not None:
-        if record is not None:
-            now = time.perf_counter()
-            record(now - tick)
-            tick = now
         yield current
-        with _trace_span("enumerate.step") as sp:
+        with _trace_span("enumerate.step", "enumeration.delay_seconds") as sp:
             before = _ops_total() if sp is not None else None
             bumped = increment_tuple(current, index.graph.n)
             current = (

@@ -26,7 +26,6 @@ from repro.core.last_coordinate import LastCoordinateIndex
 from repro.core.normal_form import DecompositionError
 from repro.core.unary import UnaryIndex, model_check
 from repro.graphs.colored_graph import ColoredGraph
-from repro.metrics.runtime import count as _metrics_count
 from repro.logic.syntax import Exists, Formula, Var
 from repro.trace.runtime import span as _trace_span
 
@@ -210,7 +209,6 @@ class NextSolutionIndex:
     @read_only
     def next_solution(self, start: tuple[int, ...]) -> tuple[int, ...] | None:
         """Theorem 2.3: the smallest solution ``>= start``."""
-        _metrics_count("next_solution.calls")
         if len(start) != self.k:
             raise ValueError(f"expected a {self.k}-tuple, got {start!r}")
         if self.k == 0:
@@ -252,7 +250,6 @@ class NextSolutionIndex:
     @read_only
     def test(self, values: tuple[int, ...]) -> bool:
         """Corollary 2.4: constant-time membership."""
-        _metrics_count("next_solution.test")
         if len(values) != self.k:
             raise ValueError(f"expected a {self.k}-tuple, got {values!r}")
         if self.k == 0:

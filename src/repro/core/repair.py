@@ -584,7 +584,9 @@ def repaired_impl(
     every structure assembled here is a *new* generation — old-generation
     readers race against nothing.
     """
-    with build_phase(), _trace_span("repair.apply", kind=kind, u=u, v=v):
+    with build_phase(), _trace_span(
+        "repair.apply", "engine.update_seconds", kind=kind, u=u, v=v
+    ):
         if isinstance(impl, NaiveIndex):
             # escalation: the baseline has no locality to exploit
             return NaiveIndex(new_graph, impl.phi, impl.free_order)

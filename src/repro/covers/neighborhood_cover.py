@@ -39,7 +39,6 @@ from repro.contracts import (
 from repro.graphs.colored_graph import ColoredGraph
 from repro.graphs.neighborhoods import bounded_bfs
 from repro.graphs.sparsity import degeneracy_order
-from repro.metrics.runtime import count as _metrics_count
 from repro.storage.function_store import StoredFunction
 from repro.trace.runtime import span as _trace_span
 
@@ -142,7 +141,6 @@ class NeighborhoodCover:
         Constant time via the Storing Theorem structure, as promised after
         Theorem 4.4 in the paper (the structure is built on first use).
         """
-        _metrics_count("cover.next_member")
         key = self._membership.successor((bag_id, vertex), strict=strict)
         if key is None or key[0] != bag_id:
             return None
@@ -262,8 +260,6 @@ def build_cover(
             for a, dist in big_ball.items():
                 if dist <= radius and assignment[a] == -1:
                     assignment[a] = bag_id
-        _metrics_count("cover.builds")
-        _metrics_count("cover.bags", len(bags))
         if sp is not None:
             sp.attributes["bags"] = len(bags)
         return NeighborhoodCover(

@@ -18,12 +18,16 @@ live in a :class:`~repro.metrics.core.MetricsRegistry` activated by
         list(index.enumerate())
 
     registry.histograms["enumeration.delay_seconds"].p95
-    registry.op_counts["repro.storage.registers.RegisterFile.read"]
+    registry.op_counts["repro.storage.trie.TrieStore.lookup"]
 
-The hot paths are threaded with zero-cost hooks (a single ``None`` check
-when no registry is active), and ``ops=True`` additionally counts every
-contracted-function call via the PR-1 ``instrument()`` patch — so
-"constant time" is checked in primitive operations, not just wall-clock.
+The registry is fed by the library's spans
+(:func:`repro.trace.runtime.span`, a context-variable read and a global
+read when nothing collects): a span whose call site names a histogram
+adds its duration there, any other span counts its entries under its own
+name.  ``ops=True`` additionally counts every contracted-function call
+via the ``instrument()`` patch — so "constant time" is checked in
+primitive operations, not just wall-clock, and per-operation counts
+(trie lookups, distance tests, ...) are read from ``op_counts``.
 The ``repro bench-suite`` runner (:mod:`repro.benchrunner`) counts E1's
 register operations per lookup through this package; E9 keeps its own
 per-answer delay list, so its gated percentiles are exact rather than
@@ -41,13 +45,7 @@ from repro.metrics.core import (
     percentile_from_buckets,
 )
 from repro.metrics.prometheus import flatten_gauges, render_prometheus
-from repro.metrics.runtime import (
-    active,
-    collect,
-    count,
-    delay_recorder,
-    observe,
-)
+from repro.metrics.runtime import active, collect, count
 
 __all__ = [
     "Counter",
@@ -58,10 +56,8 @@ __all__ = [
     "bucket_upper_edge",
     "collect",
     "count",
-    "delay_recorder",
     "flatten_gauges",
     "merge_snapshots",
-    "observe",
     "percentile_from_buckets",
     "render_prometheus",
 ]

@@ -33,7 +33,6 @@ import json
 import logging
 import os
 import pickle
-import time
 from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
@@ -45,7 +44,6 @@ from repro.errors import ReproError
 from repro.graphs.colored_graph import ColoredGraph
 from repro.logic.syntax import Formula, Var
 from repro.metrics.runtime import count as _metrics_count
-from repro.metrics.runtime import observe as _metrics_observe
 from repro.persist.fingerprint import FORMAT_VERSION, index_fingerprint
 from repro.trace.runtime import span as _trace_span
 
@@ -86,8 +84,7 @@ def save_index(
     so a concurrent reader never observes a half-written snapshot.
     """
     path = Path(path)
-    tick = time.perf_counter()
-    with _trace_span("persist.save") as sp:
+    with _trace_span("persist.save", "persist.save_seconds") as sp:
         payload = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
         if sp is not None:
             sp.attributes["bytes"] = len(payload)
@@ -112,8 +109,6 @@ def save_index(
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-    _metrics_count("persist.saves")
-    _metrics_observe("persist.save_seconds", time.perf_counter() - tick)
     return header
 
 
@@ -148,8 +143,7 @@ def load_index(
     :class:`SnapshotStale`; never returns an unverified index.
     """
     path = Path(path)
-    tick = time.perf_counter()
-    with _trace_span("persist.load") as sp:
+    with _trace_span("persist.load", "persist.load_seconds") as sp:
         header = read_header(path)
         with open(path, "rb") as handle:
             handle.readline()
@@ -184,8 +178,6 @@ def load_index(
             raise SnapshotCorrupted(
                 f"{path}: payload is a {type(index).__name__}, not a QueryIndex"
             )
-    _metrics_count("persist.loads")
-    _metrics_observe("persist.load_seconds", time.perf_counter() - tick)
     return index
 
 

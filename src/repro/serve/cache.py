@@ -43,7 +43,6 @@ from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.engine import QueryIndex, build_index
 from repro.graphs.colored_graph import ColoredGraph
 from repro.logic.syntax import Formula, Var
-from repro.metrics.runtime import count as _metrics_count
 from repro.persist import (
     SnapshotError,
     cache_path,
@@ -196,13 +195,11 @@ class IndexCache:
             if cached is not None:
                 self._entries.move_to_end(key)
                 self.stats["hits"] += 1
-                _metrics_count("serve.cache_hits")
                 return cached, "hit"
             build = self._building.get(key)
             if build is None:
                 if len(self._building) >= self.max_in_flight_builds:
                     self.stats["busy_rejections"] += 1
-                    _metrics_count("serve.busy_rejections")
                     raise TooManyBuilds(
                         f"{len(self._building)} index builds already in flight "
                         f"(max_in_flight_builds={self.max_in_flight_builds})"
@@ -217,7 +214,6 @@ class IndexCache:
         if not build.event.wait(self.build_wait_seconds):
             with self._lock:
                 self.stats["wait_timeouts"] += 1
-            _metrics_count("serve.wait_timeouts")
             raise BuildWaitTimeout(
                 f"timed out after {self.build_wait_seconds:.1f}s waiting for "
                 f"an in-flight build of {key[:12]}..."
@@ -227,7 +223,6 @@ class IndexCache:
         assert build.index is not None
         with self._lock:
             self.stats["joined"] += 1
-        _metrics_count("serve.builds_joined")
         return build.index, "joined"
 
     def _build(
@@ -272,14 +267,12 @@ class IndexCache:
                 else:
                     with self._lock:
                         self.stats["snapshot_loads"] += 1
-                    _metrics_count("serve.snapshot_loads")
                     return index, "snapshot"
         index = self._build_fn(
             graph, query, free_order, method=method, config=self.config
         )
         with self._lock:
             self.stats["builds"] += 1
-        _metrics_count("serve.builds")
         if self.snapshot_dir is not None:
             try:
                 save_index(index, cache_path(self.snapshot_dir, key), key)
@@ -295,7 +288,6 @@ class IndexCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats["evictions"] += 1
-            _metrics_count("serve.evictions")
 
     def seed(self, key: str, index: QueryIndex) -> None:
         """Publish a pre-built index under ``key`` (pool pre-fork warmup).

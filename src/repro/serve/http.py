@@ -66,13 +66,13 @@ from repro.errors import ReproError
 from repro.metrics.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.metrics.prometheus import flatten_gauges, render_prometheus
 from repro.metrics.runtime import active as _metrics_active
-from repro.metrics.runtime import observe as _metrics_observe
 from repro.serve.service import BadRequest, QueryService, ServeError
 from repro.trace.buffer import DEFAULT_CAPACITY, TraceBuffer
 from repro.trace.core import new_trace_id
 from repro.trace.logging import log_event
 from repro.trace.profiler import DEFAULT_HZ, MAX_PROFILE_SECONDS, profile_for
 from repro.trace.runtime import annotate as _trace_annotate
+from repro.trace.runtime import span as _trace_span
 from repro.trace.runtime import tracing
 from repro.trace.watchdog import Watchdog
 
@@ -394,6 +394,9 @@ class RequestHandler(BaseHTTPRequestHandler):
             inbound is not None
             or (self.trace_sample > 0 and random.random() < self.trace_sample)
         )
+        # either way the request span times the request into the per-endpoint
+        # latency histogram the pool's SLO layer aggregates
+        metric = f"serve.request_seconds.{path}"
         started = time.perf_counter()
         if recording:
             observers = (
@@ -405,6 +408,7 @@ class RequestHandler(BaseHTTPRequestHandler):
                     trace_id=self._trace_id,
                     observers=observers,
                     parent_span_id=parent_span,
+                    metric=metric,
                     endpoint=path,
                 ) as tracer:
                     info = self._dispatch(path, handler_name)
@@ -417,11 +421,9 @@ class RequestHandler(BaseHTTPRequestHandler):
                     )
                 self.trace_buffer.add(tracer)
         else:
-            info = self._dispatch(path, handler_name)
+            with _trace_span(f"POST {path}", metric):
+                info = self._dispatch(path, handler_name)
         elapsed_ms = (time.perf_counter() - started) * 1000
-        # per-endpoint latency in the mergeable histogram the pool's SLO
-        # layer aggregates (no-op without an active registry)
-        _metrics_observe(f"serve.request_seconds.{path}", elapsed_ms / 1000)
         if self.slow_ms is not None and elapsed_ms > self.slow_ms:
             index_meta = info.get("index") or {}
             log_event(

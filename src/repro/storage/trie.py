@@ -48,7 +48,6 @@ from repro.contracts import (
     pseudo_linear,
     read_only,
 )
-from repro.metrics.runtime import count as _metrics_count
 from repro.storage.registers import CHILD, GAP, PARENT, RegisterFile
 from repro.trace.runtime import span as _trace_span
 
@@ -171,7 +170,6 @@ class TrieStore:
         here and in :meth:`successor` because an extra Python frame per
         call costs ~25% of this hot path.
         """
-        _metrics_count("trie.lookup")
         if len(key) != self.k:
             raise ValueError(f"expected a {self.k}-tuple, got {key!r}")
         n = self.n
@@ -243,7 +241,6 @@ class TrieStore:
         successor.  Like :meth:`lookup`, the walk body is inlined — this
         is the enumeration hot path.
         """
-        _metrics_count("trie.successor")
         if len(key) != self.k:
             raise ValueError(f"expected a {self.k}-tuple, got {key!r}")
         n = self.n
@@ -357,7 +354,6 @@ class TrieStore:
     @builds
     def insert(self, key: tuple[int, ...], value: Any) -> bool:
         """Set ``f(key) = value``.  Returns True iff ``key`` is new."""
-        _metrics_count("trie.insert")
         digits = self._encode(key)
         status, payload = self._lookup_digits(digits)
         if status == HIT:
@@ -488,7 +484,6 @@ class TrieStore:
     @builds
     def remove(self, key: tuple[int, ...]) -> Any:
         """Delete ``key``; returns its value.  Raises KeyError if absent."""
-        _metrics_count("trie.remove")
         digits = self._encode(key)
         status, old_value = self._lookup_digits(digits)
         if status == MISS:

@@ -5,11 +5,12 @@ counts and times them in aggregate, and this package answers the other
 production question — *where did this particular run spend its time* —
 with the same zero-cost-when-off discipline:
 
-* :func:`~repro.trace.runtime.span` — the hook threaded through the
-  pipelines (cover/kernel/trie builds, splitter games, distance index,
-  next-solution tower, persistence, serve request handling).  Outside a
-  :func:`~repro.trace.runtime.tracing` context it is one
-  context-variable read.
+* :func:`~repro.trace.runtime.span` — the one instrumentation hook,
+  threaded through the pipelines (cover/kernel/trie builds, splitter
+  games, distance index, next-solution tower, persistence, serve request
+  handling).  It feeds both a :func:`~repro.trace.runtime.tracing`
+  context and an active :mod:`repro.metrics` registry; with neither it
+  is one context-variable read plus one global read.
 * :mod:`~repro.trace.export` — JSONL, Chrome ``chrome://tracing``
   trace-event files, ASCII trees, per-stage totals (``repro trace``).
 * :mod:`~repro.trace.logging` — structured JSON logs with

@@ -1,20 +1,29 @@
-"""The active-trace plumbing: zero-cost span hooks for the hot paths.
+"""The one instrumentation hook: spans that feed the tracer and the registry.
 
-Same pattern as :mod:`repro.metrics.runtime`: the preprocessing and
-query pipelines call :func:`span` unconditionally, and outside a
-:func:`tracing` context the call is a single context-variable read
-returning a shared no-op context manager — the paper's constant-time
-guarantees are unaffected, which is why the hooks carry
-``@constant_time`` contracts of their own.
+The preprocessing and query pipelines call :func:`span` unconditionally.
+With neither a :func:`tracing` context nor a
+:func:`repro.metrics.collect` registry active, the call is one
+context-variable read plus one global read returning a shared no-op
+context manager — the paper's constant-time guarantees are unaffected,
+which is why the hooks carry ``@constant_time`` contracts of their own.
 
-Inside ``with tracing() as tracer:`` every ``with span("name", k=v):``
-block records one :class:`~repro.trace.core.Span` with the correct
-parent (nesting follows the dynamic call structure), and the state lives
-in a :class:`contextvars.ContextVar` — so concurrent server threads each
-see only their own trace, with no cross-request leakage (verified by
-``tests/trace/test_concurrency.py``).  Worker threads spawned *inside* a
-traced block start with no active trace: their spans are simply not
-recorded rather than mis-parented.
+Every span has two sinks, and this module is the only code that knows
+how an event reaches either:
+
+* **the registry** (inside ``collect()``): a span whose call site names
+  a histogram (``span("enumerate.step", "enumeration.delay_seconds")``)
+  adds its duration there when the block completes; a block that raises
+  adds nothing.  Any other span adds 1 to the counter named like the
+  span as it opens.  Without a tracer, the first kind is a small slotted
+  timer and the second returns the shared no-op.
+* **the tracer** (inside ``tracing()``): every ``with span("name", k=v):``
+  block records one :class:`~repro.trace.core.Span` with the correct
+  parent (nesting follows the dynamic call structure).  The state lives
+  in a :class:`contextvars.ContextVar`, so concurrent server threads
+  each see only their own trace, with no cross-request leakage
+  (verified by ``tests/trace/test_concurrency.py``).  Threads started
+  inside a traced block begin with no active trace: their spans are not
+  recorded rather than mis-parented.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ from contextvars import ContextVar
 from typing import Any
 
 from repro.contracts import constant_time
+from repro.metrics import runtime as _metrics
+from repro.metrics.core import Histogram
 from repro.trace.core import DEFAULT_MAX_SPANS, Span, Tracer, new_span_id
 
 #: (tracer, current span) for this context, or None (the zero-cost case).
@@ -35,7 +46,8 @@ _STATE: ContextVar[tuple[Tracer, Span | None] | None] = ContextVar(
 
 
 class _NoopSpan:
-    """The shared do-nothing context manager handed out when not tracing."""
+    """The shared do-nothing context manager handed out when not tracing
+    and not timing."""
 
     __slots__ = ()
 
@@ -49,15 +61,41 @@ class _NoopSpan:
 _NOOP = _NoopSpan()
 
 
+class _Timer:
+    """An untraced span with a metric: adds its block's duration to a histogram."""
+
+    __slots__ = ("_histogram", "_start")
+
+    def __init__(self, histogram: Histogram) -> None:
+        self._histogram = histogram
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+        return None
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is None:
+            self._histogram.record(time.perf_counter() - self._start)
+        return False
+
+
 class _SpanHandle:
-    """A live span context: opens on enter, records into the tracer on exit."""
+    """A live span context: opens on enter; on exit records into the
+    tracer and, when the call site named a metric, into its histogram."""
 
-    __slots__ = ("_tracer", "_name", "_attributes", "_span", "_token")
+    __slots__ = ("_tracer", "_name", "_attributes", "_histogram", "_span", "_token")
 
-    def __init__(self, tracer: Tracer, name: str, attributes: dict[str, Any]) -> None:
+    def __init__(
+        self,
+        tracer: Tracer,
+        name: str,
+        attributes: dict[str, Any],
+        histogram: Histogram | None,
+    ) -> None:
         self._tracer = tracer
         self._name = name
         self._attributes = attributes
+        self._histogram = histogram
         self._span: Span | None = None
 
     def __enter__(self) -> Span:
@@ -87,17 +125,22 @@ class _SpanHandle:
         if exc_type is not None:
             span.status = "error"
             span.attributes.setdefault("error", exc_type.__name__)
+        elif self._histogram is not None:
+            self._histogram.record(span.end - span.start)
         _STATE.reset(self._token)
         self._tracer.add(span)
         return False
 
 
-@constant_time(note="one context-var read; span bookkeeping only when tracing")
-def span(name: str, **attributes: Any):
-    """A context manager timing one named block (no-op outside tracing).
+@constant_time(note="one context-var and one global read; O(1) sink work when on")
+def span(name: str, metric: str | None = None, **attributes: Any):
+    """A context manager around one named block: the one instrumentation hook.
 
-    ``with span("cover.build", radius=r) as s:`` records a span with the
-    given attributes; ``s`` is the live :class:`Span` (or None when not
+    Inside :func:`repro.metrics.collect`, the block adds its duration to
+    the histogram ``metric`` when the call site names one (only if it
+    completes), and otherwise adds 1 to the counter ``name`` as it
+    opens.  Inside :func:`tracing` it also records a span with the given
+    attributes.  ``s`` is the live :class:`Span` (or None when not
     tracing) so the block can attach result attributes::
 
         with span("cover.build", radius=r) as s:
@@ -106,9 +149,16 @@ def span(name: str, **attributes: Any):
                 s.attributes["bags"] = cover.num_bags
     """
     state = _STATE.get()
+    registry = _metrics._ACTIVE
+    histogram = None
+    if registry is not None:
+        if metric is None:
+            registry.counter(name).inc()
+        else:
+            histogram = registry.histogram(metric)
     if state is None:
-        return _NOOP
-    return _SpanHandle(state[0], name, attributes)
+        return _NOOP if histogram is None else _Timer(histogram)
+    return _SpanHandle(state[0], name, attributes, histogram)
 
 
 @constant_time(note="one context-var read + dict update when tracing")
@@ -147,6 +197,7 @@ def tracing(
     max_spans: int = DEFAULT_MAX_SPANS,
     observers: tuple = (),
     parent_span_id: str | None = None,
+    metric: str | None = None,
     **attributes: Any,
 ) -> Iterator[Tracer]:
     """Collect spans from everything that runs inside the context.
@@ -155,7 +206,9 @@ def tracing(
     :class:`Tracer`, and restores the previous state on exit (contexts
     nest; an inner ``tracing`` shadows the outer one, as the request
     handler relies on).  ``parent_span_id`` parents the root span under a
-    remote span from another process (cross-process stitching).
+    remote span from another process (cross-process stitching).  The
+    root span feeds the registry like any :func:`span`: into the
+    histogram ``metric`` if given, else the counter ``name``.
     """
     tracer = Tracer(
         name=name,
@@ -166,7 +219,7 @@ def tracing(
     )
     token = _STATE.set((tracer, None))
     try:
-        with span(name, **attributes):
+        with span(name, metric, **attributes):
             yield tracer
     finally:
         _STATE.reset(token)

@@ -1,5 +1,7 @@
 """Unit tests for constant-delay enumeration (Corollary 2.5)."""
 
+from itertools import islice
+
 from repro.core.config import EngineConfig
 from repro.core.enumeration import enumerate_solutions, enumerate_with_delays
 from repro.core.next_solution import NextSolutionIndex
@@ -75,3 +77,21 @@ def test_query_index_enumerate_start_matches_both_methods():
     naive = build_index(g, "dist(x, y) <= 2", method="naive")
     start = (5, 0)
     assert list(indexed.enumerate(start=start)) == list(naive.enumerate(start=start))
+
+
+def test_every_step_span_carries_its_op_count():
+    """Pages run the same steps as ``enumerate()``, so they are metered alike."""
+    from repro import metrics
+    from repro.core.engine import build_index
+    from repro.trace.runtime import tracing
+
+    index = build_index(random_tree(40, seed=2), "dist(x, y) <= 2", config=TINY)
+    with metrics.collect(ops=True), tracing("steps") as tracer:
+        assert len(list(islice(index.enumerate(), 6))) == 6
+        page = index.enumerate_page((7, 0), 5)
+    steps = [s for s in tracer.spans if s.name == "enumerate.step"]
+    assert len(page) == 5 and page.next_cursor is not None
+    assert len(steps) == 6 + (5 + 1)  # a full page also computes next_cursor
+    for step in steps:
+        ops = step.attributes.get("ops")
+        assert isinstance(ops, int) and ops >= 1, step.attributes

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+from itertools import islice
+
 import pytest
 
 from repro.core.engine import Page, build_index
 from repro.graphs.colored_graph import ColoredGraph
-from repro.graphs.generators import random_tree
+from repro.graphs.generators import grid, random_tree
+from repro.workloads import by_name, indexable
 
 QUERY = "E(x, y)"
 
@@ -91,3 +95,34 @@ def test_out_of_domain_start_clamps(index):
     n = index.graph.n
     page = index.enumerate_page(start=(n, 0), limit=3)
     assert page.items == [] and page.next_cursor is None
+
+
+#: every indexable workload, the auto fallback of an unindexable one, and
+#: the naive method on a binary query
+START_CASES = [(w.text, "auto") for w in indexable()] + [
+    (by_name("unguarded").text, "auto"),
+    ("E(x, y)", "naive"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,method",
+    START_CASES,
+    ids=[w.name for w in indexable()] + ["unguarded", "naive"],
+)
+def test_enumerate_clamps_out_of_domain_starts(text, method):
+    """``enumerate(start)`` normalizes ``start`` like the page and next paths."""
+    index = build_index(grid(10, 10, seed=5), text, method=method)
+    n = index.graph.n
+    rng = random.Random(f"{text}:{method}")
+    for _ in range(60):
+        start = tuple(rng.randrange(-5, n + 5) for _ in range(index.arity))
+        items = list(islice(index.enumerate(start), 5))
+        assert items == index.enumerate_page(start, 5).items, start
+        assert all(index.test(t) for t in items), start
+        assert items == sorted(set(items)), start
+        first = index.next_solution(start)
+        assert items[:1] == ([] if first is None else [first]), start
+    for call in (index.enumerate, index.enumerate_page, index.next_solution):
+        with pytest.raises(ValueError, match="tuple"):
+            call((1,) * (index.arity + 1))

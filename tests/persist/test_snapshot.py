@@ -152,6 +152,9 @@ def test_load_or_build_miss_then_hit(tmp_path):
     counters = {name: c.value for name, c in registry.counters.items()}
     assert counters["persist.cache_misses"] == 1
     assert counters["persist.cache_hits"] == 1
+    # the persist.save / persist.load spans time one save and one load
+    assert registry.histograms["persist.save_seconds"].count == 1
+    assert registry.histograms["persist.load_seconds"].count == 1
 
 
 def test_load_or_build_rebuilds_corrupted_snapshot(tmp_path, caplog):

@@ -216,8 +216,9 @@ def test_metrics_snapshot_with_active_registry(service, spec):
         service.handle_count({**spec, "query": QUERY})
         snapshot = service.metrics_snapshot()
     assert snapshot["collecting"] is True
-    assert snapshot["registry"]["counters"]["serve.builds"] == 1
+    assert snapshot["cache"]["builds"] == 1
     registry = snapshot["registry"]
+    assert "serve.builds" not in registry["counters"]
     engine_keys = [
         name
         for section in ("counters", "histograms")

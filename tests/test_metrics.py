@@ -9,9 +9,8 @@ from repro.metrics import (
     active,
     collect,
     count,
-    delay_recorder,
-    observe,
 )
+from repro.trace.runtime import span
 
 
 # ----------------------------------------------------------------------
@@ -82,8 +81,8 @@ def test_registry_creates_on_first_use():
 def test_hooks_are_noops_without_collect():
     assert active() is None
     count("x")  # must not raise
-    observe("y", 1.0)
-    assert delay_recorder("z") is None
+    with span("y"), span("z", "z_seconds"):
+        pass
     assert active() is None
 
 
@@ -92,13 +91,37 @@ def test_collect_gathers_counts_and_observations():
         assert active() is registry
         count("calls")
         count("calls", 2)
-        observe("delay", 0.5)
-        recorder = delay_recorder("delay")
-        assert recorder is not None
-        recorder(1.5)
+        with span("block") as sp:
+            assert sp is None  # not tracing: no live span to annotate
+        with span("timed", "delay") as sp:
+            assert sp is None
+        with span("timed", "delay"):
+            pass
+        with pytest.raises(KeyError):
+            with span("timed", "delay"):
+                raise KeyError("a block that raises adds no duration")
     assert active() is None
     assert registry.counters["calls"].value == 3
+    assert registry.counters["block"].value == 1
+    assert "timed" not in registry.counters  # a named metric replaces the counter
     assert registry.histograms["delay"].count == 2
+
+
+def test_traced_spans_feed_the_registry_too():
+    from repro.trace.runtime import tracing
+
+    with collect(ops=False) as registry:
+        with tracing("root", metric="root_seconds") as tracer:
+            with span("block"):
+                pass
+            with span("timed", "delay"):
+                pass
+    assert registry.counters["block"].value == 1
+    assert registry.histograms["delay"].count == 1
+    assert registry.histograms["root_seconds"].count == 1
+    assert "root" not in registry.counters
+    timed = next(s for s in tracer.spans if s.name == "timed")
+    assert registry.histograms["delay"].total == timed.duration
 
 
 def test_collect_nests_and_restores():
@@ -120,8 +143,8 @@ def test_collect_ops_counts_contracted_calls():
         store.insert((3,), 0)
         store.lookup((3,))
     assert any(".RegisterFile." in name for name in registry.op_counts)
-    assert registry.counters["trie.insert"].value == 1
-    assert registry.counters["trie.lookup"].value == 1
+    assert registry.op_counts["repro.storage.trie.TrieStore.insert"] == 1
+    assert registry.op_counts["repro.storage.trie.TrieStore.lookup"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -136,17 +159,35 @@ def test_hot_paths_report_metrics():
     with collect(ops=False) as registry:
         index = build_index(g, "dist(x, y) > 2 & Blue(y)")
         solutions = sum(1 for _ in index.enumerate())
+        page = index.enumerate_page((0, 0), 7)
         index.test((0, 1))
+        index.test((0, g.n))  # out of domain: still one facade call
         index.next_solution((0, 0))
-    assert registry.counters["cover.builds"].value >= 1
-    assert registry.counters["engine.test"].value == 1
-    assert registry.counters["engine.next_solution"].value == 1
-    assert registry.counters["next_solution.calls"].value >= solutions
+        u, v = next(iter(g.edges()))
+        index.delete_edge(u, v)
+    counters = registry.counters
+    # per-operation counts come from collect(ops=True), not from counters
+    removed = {
+        "trie.lookup", "trie.successor", "trie.insert", "trie.remove",
+        "distance.test", "distance.distance",
+        "next_solution.calls", "next_solution.test",
+        "cover.next_member", "cover.builds", "cover.bags",
+    }
+    assert not removed & set(counters)
+    # build spans count their own entries
+    assert counters["cover.build"].value >= 1
+    assert counters["trie.create"].value >= 1
+    assert counters["engine.test"].value == 2
+    assert counters["engine.next_solution"].value == 1
+    # one step per answer, plus the step that finds no further answer;
+    # a full page computes limit + 1 steps (the last one is next_cursor)
+    assert len(page) == 7 and page.next_cursor is not None
     delays = registry.histograms["enumeration.delay_seconds"]
-    assert delays.count == solutions
+    assert delays.count == (solutions + 1) + (7 + 1)
     assert delays.p95 >= delays.p50
     prep = registry.histograms["engine.preprocessing_seconds"]
     assert prep.count == 1
+    assert registry.histograms["engine.update_seconds"].count == 1
 
 
 def test_enumeration_unmetered_without_collect():

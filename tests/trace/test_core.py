@@ -33,6 +33,11 @@ def test_hooks_are_noops_outside_tracing():
     assert current_trace_id() is None
     with span("anything", key=1) as sp:
         assert sp is None  # the shared no-op handle yields None
+    # with neither a tracer nor a metrics registry, a span that names a
+    # histogram is the same shared no-op: nothing to time into
+    shared = span("anything")
+    assert span("timed", metric="timed_seconds") is shared
+    assert span("timed", "timed_seconds", key=1) is shared
 
 
 def test_tracing_records_a_root_span():
