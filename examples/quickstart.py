@@ -10,7 +10,7 @@ graph:
 Run:  python examples/quickstart.py
 """
 
-from repro import build_index
+from repro import open_index
 from repro.graphs import random_planar_like_graph
 
 
@@ -20,7 +20,7 @@ def main() -> None:
 
     # Example 2 from the paper: blue vertices far from x.
     query = "dist(x, y) > 2 & Blue(y)"
-    index = build_index(graph, query)
+    index = open_index(graph, query)
     print(f"query: {query}")
     print(
         f"preprocessing: {index.preprocessing_seconds * 1000:.1f} ms "

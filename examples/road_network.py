@@ -15,7 +15,7 @@ Run:  python examples/road_network.py
 import random
 import time
 
-from repro import build_index
+from repro import open_index
 from repro.core import DistanceIndex
 from repro.graphs import grid
 
@@ -40,7 +40,7 @@ def main() -> None:
 
     # --- far school/hospital pairs ------------------------------------------
     query = "School(x) & Hospital(y) & dist(x, y) > 3"
-    index = build_index(city, query)
+    index = open_index(city, query)
     print(f"query: {query}  (method={index.method})")
     pairs = list(index.enumerate())
     print(f"  {len(pairs)} far school/hospital pairs; first five:")
@@ -50,7 +50,7 @@ def main() -> None:
         print(f"    school at block ({sx},{sy})  <->  hospital at ({hx},{hy})")
 
     # --- underserved schools: no hospital within 3 blocks -------------------
-    underserved = build_index(
+    underserved = open_index(
         city, "School(x) & forall y. (Hospital(y) -> dist(x, y) > 3)"
     )
     lonely = [v for (v,) in underserved.enumerate()]

@@ -20,7 +20,7 @@ import random
 import time
 
 from repro.core.counting import CountingIndex
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import hex_grid
 
 
@@ -37,7 +37,7 @@ def main() -> None:
     )
 
     tick = time.perf_counter()
-    index = build_index(mesh, "Gateway(x) & Detector(y) & dist(x, y) > 2")
+    index = open_index(mesh, "Gateway(x) & Detector(y) & dist(x, y) > 2")
     built = time.perf_counter() - tick
     counting = CountingIndex(index)
     print(f"index built in {built * 1000:.0f} ms (counting: {counting.method})")

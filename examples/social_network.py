@@ -14,7 +14,7 @@ Run:  python examples/social_network.py
 
 import random
 
-from repro import build_index
+from repro import open_index
 from repro.core.config import EngineConfig
 from repro.db import Database, Schema, adjacency_graph, rewrite_query
 from repro.db.rewrite import RelationAtom
@@ -75,7 +75,7 @@ def main() -> None:
     # small demo database; solving them by the memoized naive evaluator
     # (larger Step-1 cutoff) is the fast configuration here.
     config = EngineConfig(bag_naive_threshold=600)
-    index = build_index(encoding.graph, rewritten, free_order=(x, y), config=config)
+    index = open_index(encoding.graph, rewritten, free_order=(x, y), config=config)
     print(
         f"index built in {index.preprocessing_seconds * 1000:.1f} ms "
         f"(method={index.method})"

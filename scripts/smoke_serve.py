@@ -59,7 +59,7 @@ from urllib.request import Request, urlopen
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.core.engine import build_index  # noqa: E402
+from repro.core.engine import open_index  # noqa: E402
 from repro.graphs.generators import random_tree  # noqa: E402
 from repro.serve.client import (  # noqa: E402
     ServiceClient,
@@ -165,11 +165,11 @@ def run_pool(workers: int) -> int:
 
     n, seed, query = 120, 9, "E(x, y)"
     graph = FAMILIES["grid"](n, seed=seed)
-    oracle = build_index(graph, query)
+    oracle = open_index(graph, query)
     solutions = list(oracle.enumerate())
     spec = family_spec("grid", n, seed=seed)
     with tempfile.TemporaryDirectory(prefix="repro-smoke-pool-") as tmp:
-        warm = build_index(graph, query)
+        warm = open_index(graph, query)
         fingerprint = index_fingerprint(graph, query)
         save_index(warm, cache_path(tmp, fingerprint), fingerprint)
         proc, url = start_server([
@@ -410,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
             print("smoke_serve: --pool needs os.fork; skipping")
             return 0
         return run_pool(args.pool)
-    oracle = build_index(random_tree(48, seed=9), QUERY)
+    oracle = open_index(random_tree(48, seed=9), QUERY)
     solutions = list(oracle.enumerate())
     proc, url = start_server(["--paranoid"] if args.paranoid else None)
     mode = " (paranoid)" if args.paranoid else ""
@@ -448,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
 
         # --- 8 concurrent clients vs the oracle, one build ------------
         cold_query = "E(x, y)"  # untouched so far: a fresh fingerprint
-        cold_oracle = build_index(random_tree(48, seed=9), cold_query)
+        cold_oracle = open_index(random_tree(48, seed=9), cold_query)
         cold_solutions = list(cold_oracle.enumerate())
         builds_before = client.stats()["cache"]["builds"]
 
@@ -506,7 +506,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             check(False, "stale cursor was not rejected")
-        updated_oracle = build_index(
+        updated_oracle = open_index(
             random_tree(48, seed=9).with_edge(*non_edge2), cold_query
         )
         check(

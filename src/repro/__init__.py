@@ -22,10 +22,9 @@ See DESIGN.md for the paper-to-module map and EXPERIMENTS.md for the
 reproduced claims.
 """
 
-from repro.api import open_index
+from repro.api import Page, QueryIndex, open_index
 from repro.core.config import EngineConfig
 from repro.core.counting import CountingIndex, count_solutions
-from repro.core.engine import Page, QueryIndex, build_index
 from repro.db.adjacency import adjacency_graph
 from repro.db.database import Database
 from repro.db.rewrite import rewrite_query
@@ -40,7 +39,6 @@ __all__ = [
     "QueryIndex",
     "Page",
     "open_index",
-    "build_index",
     "EngineConfig",
     "ReproError",
     "CountingIndex",

@@ -48,11 +48,3 @@ def flatness(ys: Sequence[float]) -> float:
     if not positive:
         raise ValueError("need at least one positive sample")
     return max(positive) / min(positive)
-
-
-def is_pseudo_linear(
-    xs: Sequence[float], ys: Sequence[float], eps: float = 0.5, slack: float = 0.15
-) -> bool:
-    """Does the series grow at most like ``x^(1 + eps)`` (plus slack)?"""
-    exponent, _ = fit_exponent(xs, ys)
-    return exponent <= 1 + eps + slack

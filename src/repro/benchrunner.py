@@ -236,11 +236,11 @@ class BenchSuite:
         return self._graphs[key]
 
     def index(self, family: str, n: int, query: str, seed: int = 1) -> Any:
-        from repro.core.engine import build_index
+        from repro.core.engine import open_index
 
         key = (family, n, query, seed)
         if key not in self._indexes:
-            self._indexes[key] = build_index(self.graph(family, n, seed), query)
+            self._indexes[key] = open_index(self.graph(family, n, seed), query)
         return self._indexes[key]
 
     def record(
@@ -539,12 +539,12 @@ class BenchSuite:
     # -- E7: constant-time next-solution -------------------------------
 
     def run_e7(self) -> None:
-        from repro.core.engine import build_index
+        from repro.core.engine import open_index
 
         p = self.profile
         for n in p.sizes:
             g = self.graph("planar", n)
-            stats, index = _timed(lambda g=g: build_index(g, _QUERY), 1)
+            stats, index = _timed(lambda g=g: open_index(g, _QUERY), 1)
             self._indexes[("planar", n, _QUERY, 1)] = index
             self.record(
                 "E7", "bench_next_solution", f"test_build[{n}]", {"n": n}, stats,
@@ -708,7 +708,7 @@ class BenchSuite:
 
     def run_e12(self) -> None:
         from repro.baselines.naive import NaiveIndex
-        from repro.core.engine import build_index
+        from repro.core.engine import open_index
         from repro.logic.parser import parse_formula
         from repro.logic.syntax import Var
 
@@ -725,7 +725,7 @@ class BenchSuite:
                 stats, {"solutions": count},
             )
 
-            stats, index = _timed(lambda g=g: build_index(g, _QUERY), 1)
+            stats, index = _timed(lambda g=g: open_index(g, _QUERY), 1)
             self.record(
                 "E12", "bench_crossover", f"test_index_build[{n}]", {"n": n}, stats,
                 {"method": index.method},
@@ -736,13 +736,13 @@ class BenchSuite:
     def run_e13(self) -> None:
         """``QueryIndex.count()`` (closed form) vs enumerate-and-count;
         ``count_equal`` (1.0/0.0) is the gated differential check."""
-        from repro.core.engine import build_index
+        from repro.core.engine import open_index
 
         for n in self.profile.counting_sizes:
             g = self.graph("grid", n)
 
             def closed_form(g: Any = g) -> int:
-                return build_index(g, _QUERY).count()
+                return open_index(g, _QUERY).count()
 
             stats, count = _timed(closed_form, 1)
             self.record(
@@ -751,7 +751,7 @@ class BenchSuite:
             )
 
             def enumerate_count(g: Any = g) -> int:
-                return sum(1 for _ in build_index(g, _QUERY).enumerate())
+                return sum(1 for _ in open_index(g, _QUERY).enumerate())
 
             stats, enumerated = _timed(enumerate_count, 1)
             self.record(
@@ -765,13 +765,13 @@ class BenchSuite:
     def run_e14(self) -> None:
         """A color-flip chain replayed from the base index each round;
         ``register_equal`` (1.0/0.0) gates it against a rebuild."""
-        from repro.core.engine import build_index
+        from repro.core.engine import open_index
 
         query = "exists y. E(x, y) & Hot(y)"
         p = self.profile
         for n in p.dynamic_sizes:
             g = self.graph("planar", n)
-            base = build_index(g, query)
+            base = open_index(g, query)
             rng = random.Random(2)
             updates = [(rng.randrange(n), rng.random() < 0.5) for _ in range(64)]
 
@@ -785,7 +785,7 @@ class BenchSuite:
                 return index
 
             stats, updated = _timed(apply_updates, p.repeats, warmup=True)
-            rebuilt = build_index(updated.graph, query)
+            rebuilt = open_index(updated.graph, query)
             self.record(
                 "E14", "bench_dynamic", f"test_update[{n}]", {"n": n}, stats,
                 {
@@ -799,7 +799,7 @@ class BenchSuite:
             g2 = self.graph("planar", n).copy()
             rng = random.Random(2)
             g2.set_color("Hot", [v for v in g2.vertices() if rng.random() < 0.2])
-            stats, _ = _timed(lambda g2=g2: build_index(g2, query), 1)
+            stats, _ = _timed(lambda g2=g2: open_index(g2, query), 1)
             self.record(
                 "E14", "bench_dynamic", f"test_rebuild_baseline[{n}]", {"n": n},
                 stats, {},
@@ -810,7 +810,7 @@ class BenchSuite:
     def run_ea(self) -> None:
         from repro.core.config import EngineConfig
         from repro.core.distance_index import DistanceIndex
-        from repro.core.engine import build_index
+        from repro.core.engine import open_index
         from repro.storage.trie import TrieStore
 
         n = 2**14 if self.profile.name == "full" else 2**10
@@ -838,7 +838,7 @@ class BenchSuite:
         for threshold in (16, 64, 220):
             config = EngineConfig(bag_naive_threshold=threshold)
             stats, _ = _timed(
-                lambda config=config: build_index(g, _QUERY, config=config), 1
+                lambda config=config: open_index(g, _QUERY, config=config), 1
             )
             self.record(
                 "EA", "bench_ablation", f"test_bag_threshold[{threshold}]",
@@ -868,7 +868,7 @@ class BenchSuite:
         """
         import tempfile
 
-        from repro.core.engine import build_index
+        from repro.core.engine import open_index
         from repro.persist import index_fingerprint, load_index, save_index
 
         p = self.profile
@@ -876,7 +876,7 @@ class BenchSuite:
             g = self.graph("grid", n)
 
             def cold_build(g: Any = g) -> Any:
-                return build_index(g, _QUERY)
+                return open_index(g, _QUERY)
 
             cold_stats, index = _timed(cold_build, p.repeats)
             fingerprint = index_fingerprint(g, _QUERY)
@@ -932,7 +932,7 @@ class BenchSuite:
         import subprocess
         import tempfile
 
-        from repro.core.engine import build_index
+        from repro.core.engine import open_index
         from repro.graphs.generators import FAMILIES
         from repro.persist import cache_path, index_fingerprint, save_index
         from repro.serve.http import wait_until_ready
@@ -950,7 +950,7 @@ class BenchSuite:
         # (NOT self.graph(): _make_graph and FAMILIES differ, and the
         # snapshot fingerprint must match the server's request key)
         graph = FAMILIES["grid"](n, seed=seed)
-        index = build_index(graph, _QUERY)
+        index = open_index(graph, _QUERY)
         fingerprint = index_fingerprint(graph, _QUERY)
 
         spec = {"family": "grid", "n": n, "seed": seed, "query": _QUERY}
@@ -1208,14 +1208,14 @@ class BenchSuite:
           and one arity-2 repair beats one rebuild by
           :data:`REPAIR_SPEEDUP_MIN` (``repair_speedup_vs_rebuild``).
         """
-        from repro.core.engine import build_index
+        from repro.core.engine import open_index
         from repro.core.repair import register_dump
 
         unary_query = "exists y. E(x, y) & Blue(y)"
         p = self.profile
         for n in p.dynamic_sizes:
             g = self.graph("planar", n)
-            base = build_index(g, unary_query)
+            base = open_index(g, unary_query)
             edits = _edit_sequence(g, random.Random(7), count=8)
 
             def apply_edits(base: Any = base, edits: list = edits) -> Any:
@@ -1229,7 +1229,7 @@ class BenchSuite:
 
             stats, updated = _timed(apply_edits, p.repeats, warmup=True)
             rebuild_stats, rebuilt = _timed(
-                lambda updated=updated: build_index(updated.graph, unary_query), 1
+                lambda updated=updated: open_index(updated.graph, unary_query), 1
             )
             self.record(
                 "E17", "bench_updates", f"test_update_repair[{n}]", {"n": n},
@@ -1264,7 +1264,7 @@ class BenchSuite:
         # most of the graph, turning "ball-local" into "rebuild"
         n = p.dynamic_sizes[-1]
         g = self.graph("grid", n)
-        base = build_index(g, _QUERY)
+        base = open_index(g, _QUERY)
         edits = _edit_sequence(g, random.Random(13), count=2)
 
         def apply_pair(base: Any = base, edits: list = edits) -> Any:
@@ -1278,7 +1278,7 @@ class BenchSuite:
 
         pair_stats, updated = _timed(apply_pair, p.repeats, warmup=True)
         rebuild_stats, rebuilt = _timed(
-            lambda: build_index(updated.graph, _QUERY), 1
+            lambda: open_index(updated.graph, _QUERY), 1
         )
         per_update = pair_stats["mean"] / len(edits)
         self.record(

@@ -73,7 +73,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.errors import ReproError, UsageError
 from repro.graphs.colored_graph import ColoredGraph
 from repro.graphs.generators import FAMILIES
@@ -150,7 +150,7 @@ def _cmd_explain(args) -> int:
 
         graph = _load_graph(args.graph)
         with trace.tracing("explain", query=args.query) as tracer:
-            index = build_index(graph, args.query, method="indexed")
+            index = open_index(graph, args.query, method="indexed")
         print()
         print(
             f"built against {args.graph} (n={graph.n}): "
@@ -171,7 +171,7 @@ def _cmd_trace(args) -> int:
         with trace.tracing(
             "repro trace", graph=args.graph, query=args.query
         ) as tracer:
-            index = build_index(graph, args.query, method=args.method)
+            index = open_index(graph, args.query, method=args.method)
             if args.test is not None:
                 values = _parse_tuple(args.test)
                 print(f"test{values}: {index.test(values)}")
@@ -224,7 +224,7 @@ def _cmd_profile(args) -> int:
     profiler = SamplingProfiler(hz=args.hz)
     tick = time.perf_counter()
     with profiler:
-        index = build_index(graph, args.query, method=args.method)
+        index = open_index(graph, args.query, method=args.method)
         if args.count:
             print(f"count: {index.count()}")
         taken = 0
@@ -280,7 +280,7 @@ def _cmd_query(args) -> int:
             f"arity={index.arity}, ready in {ready_ms:.1f} ms"
         )
     else:
-        index = build_index(graph, args.query, method=args.method)
+        index = open_index(graph, args.query, method=args.method)
         print(
             f"index built: method={index.method}, arity={index.arity}, "
             f"preprocessing={index.preprocessing_seconds * 1000:.1f} ms"
@@ -337,7 +337,7 @@ def _cmd_warm(args) -> int:
 def _cmd_bench(args) -> int:
     graph = _load_graph(args.graph)
     tick = time.perf_counter()
-    index = build_index(graph, args.query)
+    index = open_index(graph, args.query)
     build = time.perf_counter() - tick
     if graph.n == 0:
         # nothing to probe on an empty graph (and the modulus below

@@ -19,7 +19,7 @@ Layers, bottom to top:
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.counting import CountingIndex, count_solutions
 from repro.core.distance_index import DistanceIndex
-from repro.core.engine import QueryIndex, build_index
+from repro.core.engine import QueryIndex, open_index
 from repro.core.enumeration import enumerate_solutions, enumerate_with_delays
 from repro.core.last_coordinate import LastCoordinateIndex
 from repro.core.next_solution import NextSolutionIndex, increment_tuple
@@ -34,7 +34,7 @@ __all__ = [
     "count_solutions",
     "DistanceIndex",
     "QueryIndex",
-    "build_index",
+    "open_index",
     "enumerate_solutions",
     "enumerate_with_delays",
     "LastCoordinateIndex",

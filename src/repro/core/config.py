@@ -25,9 +25,6 @@ class EngineConfig:
         (stand-in for λ(2r) of Theorem 4.6).
     bag_naive_threshold / bag_max_depth:
         Same two knobs for the per-bag solvers (Steps 8-11).
-    precompute_far:
-        Build the Case-I structures (unary lists L, skip pointers) during
-        preprocessing (paper Steps 12-13) rather than lazily on first use.
     """
 
     eps: float = 0.5
@@ -35,7 +32,6 @@ class EngineConfig:
     dist_max_depth: int = 3
     bag_naive_threshold: int = 220
     bag_max_depth: int = 12
-    precompute_far: bool = True
 
 
 DEFAULT_CONFIG = EngineConfig()

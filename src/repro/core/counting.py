@@ -185,6 +185,6 @@ def count_solutions(
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> int:
     """One-shot counting: build the index, count, discard it."""
-    from repro.core.engine import build_index
+    from repro.core.engine import open_index
 
-    return build_index(graph, phi, free_order, config=config).count()
+    return open_index(graph, phi, free_order=free_order, config=config).count()

@@ -109,7 +109,7 @@ class DistanceIndex:
         self._mode = "cover"
         graph, r = self.graph, self.radius
         strategy = self._strategy or default_strategy(graph)
-        self.cover = build_cover(graph, r, eps=self.eps)  # Step 2
+        self.cover = build_cover(graph, r)  # Step 2
         self._splitter: list[int] = []
         self._dist_to_s: list[dict[int, int]] = []
         self._children: list["DistanceIndex"] = []

@@ -1,11 +1,12 @@
-"""The public facade: build an index, then test / next / enumerate.
+"""The public facade: open an index, then test / next / enumerate.
 
-:func:`build_index` is the library's main entry point.  It accepts a
-query as text or as a :class:`~repro.logic.syntax.Formula`, picks the
+:func:`open_index` is the one function that builds an index.  It accepts
+a query as text or as a :class:`~repro.logic.syntax.Formula`, picks the
 tuple coordinate order, and builds either the paper's index
 (:class:`~repro.core.next_solution.NextSolutionIndex`) or — when the
 query falls outside the decomposable fragment and ``method="auto"`` —
-the naive baseline, reporting which one it chose.
+the naive baseline, reporting which one it chose.  :mod:`repro.api`,
+:mod:`repro.core` and :mod:`repro` re-export it.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class QueryIndex:
         """The build-request fingerprint (graph at version 0, query, order,
         method, config) — constant across the whole update lineage.
 
-        :func:`build_index` stamps it from the exact request arguments so
+        :func:`open_index` stamps it from the exact request arguments so
         it equals the serve cache's key; indexes constructed by other
         means compute a best-effort equivalent lazily.
         """
@@ -326,7 +327,7 @@ class QueryIndex:
         ``IndexError`` on an out-of-range vertex.
 
         >>> from repro.graphs.generators import path
-        >>> index = build_index(path(8, palette=()), "exists y. E(x, y) & Hot(y)")
+        >>> index = open_index(path(8, palette=()), "exists y. E(x, y) & Hot(y)")
         >>> hot = index.add_color("Hot", 4)
         >>> list(hot.enumerate()), hot.version
         ([(3,), (5,)], 1)
@@ -393,18 +394,23 @@ def _clamp_start(start: tuple[int, ...], n: int) -> tuple[int, ...] | None:
 
 
 @pseudo_linear(note="Theorem 2.3 preprocessing (or naive fallback)")
-def build_index(
+def open_index(
     graph: ColoredGraph,
     query: Formula | str,
+    *,
     free_order: Sequence[Var | str] | None = None,
     method: str = "auto",
     config: EngineConfig = DEFAULT_CONFIG,
 ) -> QueryIndex:
     """Preprocess ``graph`` for ``query`` (Theorem 2.3's preprocessing).
 
-    :func:`repro.api.open_index` is the preferred front door (same
-    behaviour, keyword-only configuration); this name is kept stable for
-    existing callers and snapshots.
+    Everything past the two data arguments is keyword-only, so a call
+    site cannot silently swap ``free_order`` and ``method``.  The
+    returned :class:`QueryIndex` carries the versioned identity
+    (:attr:`QueryIndex.version`, :attr:`QueryIndex.fingerprint`) and the
+    persistent update methods (:meth:`QueryIndex.insert_edge`,
+    :meth:`QueryIndex.delete_edge`, :meth:`QueryIndex.add_color`,
+    :meth:`QueryIndex.remove_color`).
 
     Parameters
     ----------
@@ -419,11 +425,13 @@ def build_index(
     method:
         ``"auto"`` (indexed with naive fallback), ``"indexed"`` (raise if
         the query does not decompose) or ``"naive"``.
+    config:
+        Engine thresholds (:class:`~repro.core.config.EngineConfig`).
 
     Examples
     --------
     >>> from repro.graphs import grid
-    >>> index = build_index(grid(8, 8), "exists z. E(x, z) & E(z, y)")
+    >>> index = open_index(grid(8, 8), "exists z. E(x, z) & E(z, y)")
     >>> index.test(next(index.enumerate()))
     True
     """
@@ -439,6 +447,8 @@ def build_index(
         graph, phi, free_order=free_order, config=config, method=method
     )
     start = time.perf_counter()
+    # the span name is a stable interface: CI, `repro trace` tests and
+    # docs/tracing.md look for it
     with _trace_span(
         "engine.build_index",
         "engine.preprocessing_seconds",

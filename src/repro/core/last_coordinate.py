@@ -219,7 +219,7 @@ class LastCoordinateIndex:
                 max_depth=config.dist_max_depth,
             )
         # Step 3: (kr, 2kr)-cover and r-kernels
-        self.cover = build_cover(graph, self.k * self.r, eps=config.eps)
+        self.cover = build_cover(graph, self.k * self.r)
         with _trace_span("last.kernels", bags=len(self.cover.bags), radius=self.r):
             self.kernels = [
                 kernel_of_bag(graph, bag, self.r) for bag in self.cover.bags
@@ -230,11 +230,10 @@ class LastCoordinateIndex:
         self._sentence_cache: dict[Formula, bool] = {}
         # Steps 12-13: Case-I structures per distinct singleton-local psi
         self._far_structures_cache: dict[Formula, tuple[list[int], SkipPointers]] = {}
-        if config.precompute_far:
-            with _trace_span("last.far_structures"):
-                for entry in self.plan_entries():
-                    if entry.far_psi is not None:
-                        self._far_structures(entry.far_psi)
+        with _trace_span("last.far_structures"):
+            for entry in self.plan_entries():
+                if entry.far_psi is not None:
+                    self._far_structures(entry.far_psi)
 
     @read_only
     def plan_entries(self) -> list[PlanEntry]:
@@ -283,7 +282,7 @@ class LastCoordinateIndex:
                 cached = self._sentence_cache.setdefault(sentence, fresh)
         return cached
 
-    @amortized("O(1)", note="Steps 12-13 built once per psi; precomputable via config")
+    @amortized("O(1)", note="Steps 12-13 built once per psi, at preprocessing")
     @read_only
     def _far_structures(self, psi: Formula) -> tuple[list[int], SkipPointers]:
         """Step 12 (the list ``L``) and Step 13 (skip pointers) for one
@@ -403,7 +402,7 @@ class LastCoordinateIndex:
         self, entry: PlanEntry, prefix: tuple[int, ...], lower: int
     ) -> int | None:
         """Case I: ``x_k`` far from every prefix position."""
-        # contract: amortized — Steps 12-13 built once per psi (precomputable)
+        # contract: amortized — Steps 12-13 built per plan psi at preprocessing
         _, skips = self._far_structures(entry.far_psi)
         bag_ids = sorted({self.cover.bag_of(a) for a in prefix})
         last_var = self.free_order[-1]

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 from repro.graphs.colored_graph import ColoredGraph
 from repro.graphs.neighborhoods import bounded_bfs
-from repro.logic.ranks import max_distance_bound
 from repro.logic.syntax import (
     And,
     Bottom,
@@ -174,20 +173,3 @@ def rewrite_without_vertex(
         raise TypeError(f"unknown formula node: {node!r}")
 
     return walk(phi, s_vars)
-
-
-def removal_rewrite(
-    phi: Formula,
-    graph: ColoredGraph,
-    s: int,
-    s_vars: frozenset[Var] = frozenset(),
-) -> tuple[Formula, RemovalResult]:
-    """One-stop Lemma 5.5: returns ``(phi', H)`` for removing ``s``.
-
-    ``s_vars`` are the free variables of ``phi`` declared equal to ``s``
-    (the lemma's ``ȳ``); they do not occur free in ``phi'``.
-    """
-    bound = max(1, max_distance_bound(phi))
-    removal = remove_vertex(graph, s, bound)
-    rewritten = rewrite_without_vertex(phi, s_vars, graph, s, removal.color_prefix)
-    return rewritten, removal

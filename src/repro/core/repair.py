@@ -329,8 +329,7 @@ def _patched_cover(
     a bag (inserts absorb grown balls, deletes keep bags as sound
     supersets) — so every vertex stays a member of its canonical bag and
     the Definition 4.3 invariant ``N_radius(a) ⊆ X(a)`` holds on the
-    current graph after any update chain.  The lazy ordered-membership
-    store is reset and rebuilt on demand.
+    current graph after any update chain.
     """
     cover = object.__new__(NeighborhoodCover)
     cover.graph = new_graph
@@ -344,10 +343,8 @@ def _patched_cover(
     cover.bags = bags
     cover.centers = old.centers
     cover.assignment = old.assignment
-    cover.eps = old.eps
     cover.assigned = old.assigned
     cover._member_sets = member_sets
-    cover._membership_store = None
     return cover
 
 

@@ -61,7 +61,7 @@ def unary_solutions(
     if not alternatives:
         return []
     r = decomposition.radius
-    cover = build_cover(graph, r, eps=eps)
+    cover = build_cover(graph, r)
     solvers: dict[int, BagSolver] = {}
     bag_maps: dict[int, tuple] = {}
     component = frozenset((0,))

@@ -18,41 +18,29 @@ Properties (asserted by :meth:`NeighborhoodCover.check_properties`):
   small on sparse graphs.  The degree is *measured*, not assumed; it is
   the quantity experiment E4 reports against the paper's ``n^eps`` bound.
 
-Bag membership, canonical-bag assignment and per-bag vertex lists are
-retrievable in constant time; ordered membership ("smallest member of bag
-X that is >= b") is served by a Theorem 3.1 :class:`StoredFunction` keyed
-``(bag, vertex)``, exactly the paper's ``f_X`` encoding (Section 4.1).
+Bag membership (one hash-set probe), canonical-bag assignment and
+per-bag vertex lists are retrievable in constant time.  The paper's
+``f_X`` encoding (Section 4.1) also gives the ordered successor within a
+bag; no step of the pipeline needs it, so no ordered structure is built.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 
-from repro.contracts import (
-    amortized,
-    constant_time,
-    frozen_after_build,
-    pseudo_linear,
-    read_only,
-)
+from repro.contracts import constant_time, frozen_after_build, pseudo_linear, read_only
 from repro.graphs.colored_graph import ColoredGraph
 from repro.graphs.neighborhoods import bounded_bfs
 from repro.graphs.sparsity import degeneracy_order
-from repro.storage.function_store import StoredFunction
 from repro.trace.runtime import span as _trace_span
 
 
-@frozen_after_build(cells={"_membership_store": "_memo_lock"})
+@frozen_after_build
 class NeighborhoodCover:
     """An (r, s)-neighborhood cover of a colored graph.
 
     Built via :func:`build_cover`; not meant to be constructed directly.
     """
-
-    #: Store lock for the lazily-built membership structure; class-level
-    #: so covers stay picklable.
-    _memo_lock = threading.Lock()
 
     @pseudo_linear(note="membership sets + per-bag assignment lists")
     def __init__(
@@ -63,7 +51,6 @@ class NeighborhoodCover:
         bags: list[list[int]],
         centers: list[int],
         assignment: list[int],
-        eps: float,
     ) -> None:
         self.graph = graph
         self.radius = radius
@@ -71,7 +58,6 @@ class NeighborhoodCover:
         self.bags = bags  # bag id -> sorted vertex list
         self.centers = centers  # bag id -> center c_X
         self.assignment = assignment  # vertex -> canonical bag id X(a)
-        self.eps = eps
         # per-bag list of b with X(b) = X (Step 3 of Section 5.2.1)
         self.assigned: list[list[int]] = [[] for _ in bags]
         for vertex, bag_id in enumerate(assignment):
@@ -84,9 +70,6 @@ class NeighborhoodCover:
             self.assigned[bag_id].append(vertex)
         # membership sets for O(1) "a in X" tests
         self._member_sets = [set(bag) for bag in bags]
-        # ordered membership via the Storing Theorem (f_X of Section 4.1);
-        # built lazily: only consumers of ordered queries pay for it
-        self._membership_store: StoredFunction | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -112,39 +95,6 @@ class NeighborhoodCover:
     def contains(self, bag_id: int, vertex: int) -> bool:
         """Constant-time bag membership."""
         return vertex in self._member_sets[bag_id]
-
-    @property
-    @read_only
-    def _membership(self) -> StoredFunction:
-        if self._membership_store is None:
-            universe = max(self.graph.n, len(self.bags), 1)
-            store = StoredFunction(
-                universe,
-                2,
-                eps=self.eps,
-                items=(
-                    ((bag_id, vertex), True)
-                    for bag_id, bag in enumerate(self.bags)
-                    for vertex in bag
-                ),
-            )
-            with self._memo_lock:
-                if self._membership_store is None:
-                    self._membership_store = store
-        return self._membership_store
-
-    @amortized("O(1)", note="f_X store built lazily on first ordered query")
-    @read_only
-    def next_member(self, bag_id: int, vertex: int, strict: bool = False) -> int | None:
-        """Smallest member of the bag that is ``>= vertex`` (``>`` if strict).
-
-        Constant time via the Storing Theorem structure, as promised after
-        Theorem 4.4 in the paper (the structure is built on first use).
-        """
-        key = self._membership.successor((bag_id, vertex), strict=strict)
-        if key is None or key[0] != bag_id:
-            return None
-        return key[1]
 
     @read_only
     def degree(self) -> int:
@@ -218,7 +168,6 @@ def _validated_order(graph: ColoredGraph, order: Sequence[int]) -> list[int]:
 def build_cover(
     graph: ColoredGraph,
     radius: int,
-    eps: float = 0.5,
     order: Sequence[int] | None = None,
 ) -> NeighborhoodCover:
     """Build an (r, 2r)-neighborhood cover greedily (Theorem 4.4).
@@ -229,8 +178,6 @@ def build_cover(
         The input colored graph.
     radius:
         The cover radius ``r``.
-    eps:
-        Storing-structure exponent for the membership index.
     order:
         Scan order for choosing centers; defaults to a degeneracy order,
         which empirically keeps the degree small on sparse classes.  A
@@ -262,6 +209,4 @@ def build_cover(
                     assignment[a] = bag_id
         if sp is not None:
             sp.attributes["bags"] = len(bags)
-        return NeighborhoodCover(
-            graph, radius, 2 * radius, bags, centers, assignment, eps
-        )
+        return NeighborhoodCover(graph, radius, 2 * radius, bags, centers, assignment)

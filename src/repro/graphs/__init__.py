@@ -26,7 +26,6 @@ from repro.graphs.generators import (
 )
 from repro.graphs.neighborhoods import (
     ball,
-    bfs_distances,
     bounded_bfs,
     distance,
     induced_subgraph,
@@ -43,7 +42,6 @@ from repro.graphs.validation import LocalityReport, locality_report
 __all__ = [
     "ColoredGraph",
     "ball",
-    "bfs_distances",
     "bounded_bfs",
     "distance",
     "induced_subgraph",

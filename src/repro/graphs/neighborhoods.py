@@ -17,20 +17,6 @@ from repro.graphs.colored_graph import ColoredGraph
 INFINITY = float("inf")
 
 
-def bfs_distances(graph: ColoredGraph, source: int) -> dict[int, int]:
-    """All finite distances from ``source`` (full BFS)."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in graph.neighbors(u):
-            if v not in dist:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
-
-
 def bounded_bfs(graph: ColoredGraph, sources: Iterable[int], radius: int) -> dict[int, int]:
     """Distances up to ``radius`` from the closest of ``sources``.
 
@@ -102,21 +88,3 @@ def induced_subgraph(graph: ColoredGraph, vertices: Iterable[int]) -> ColoredGra
         if members:
             sub.set_color(name, members)
     return sub
-
-
-def connected_components(graph: ColoredGraph) -> list[set[int]]:
-    """Connected components, each as a set of vertices."""
-    seen: set[int] = set()
-    components = []
-    for start in graph.vertices():
-        if start in seen:
-            continue
-        component = set(bfs_distances(graph, start))
-        seen |= component
-        components.append(component)
-    return components
-
-
-def eccentricity(graph: ColoredGraph, v: int) -> int:
-    """Largest finite distance from ``v``."""
-    return max(bfs_distances(graph, v).values())

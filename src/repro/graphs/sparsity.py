@@ -117,13 +117,6 @@ def is_edgeless(graph: ColoredGraph) -> bool:
     return graph.num_edges == 0
 
 
-def average_degree(graph: ColoredGraph) -> float:
-    """``2|E| / |V|`` (0 for the empty graph)."""
-    if graph.n == 0:
-        return 0.0
-    return 2 * graph.num_edges / graph.n
-
-
 def degeneracy(graph: ColoredGraph) -> int:
     """The degeneracy of the graph (max min-degree over subgraphs)."""
     n = graph.n

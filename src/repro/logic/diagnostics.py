@@ -1,6 +1,6 @@
 """Diagnostics: explain *why* a query does or does not decompose.
 
-``build_index(..., method="indexed")`` raises a bare
+``open_index(..., method="indexed")`` raises a bare
 :class:`~repro.core.normal_form.DecompositionError` when a query falls
 outside the guarded fragment.  :func:`explain` produces a structured
 report a user can act on: which subformulas are blocks, their anchors

@@ -14,7 +14,7 @@ live in a :class:`~repro.metrics.core.MetricsRegistry` activated by
     from repro import metrics
 
     with metrics.collect() as registry:
-        index = build_index(graph, "dist(x, y) > 2 & Blue(y)")
+        index = open_index(graph, "dist(x, y) > 2 & Blue(y)")
         list(index.enumerate())
 
     registry.histograms["enumeration.delay_seconds"].p95

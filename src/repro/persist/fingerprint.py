@@ -54,7 +54,11 @@ from repro.logic.syntax import Formula, Var
 #: v5: ``LastCoordinateIndex`` pickles its answer plan (``_plan``, the
 #: resolved ``PlanEntry`` records per prefix type mask, bag queries
 #: included) and drops its per-call bag-query memo; a v4 index has no
-#: plan to answer from.
+#: plan to answer from.  ``EngineConfig.precompute_far`` was removed
+#: within v5 (Steps 12-13 always run at preprocessing): it leaves
+#: ``config_token``, so a snapshot keyed with it is a clean miss, and a v5
+#: pickle whose config still carries it loads as one carrying ``workers``
+#: does (see v4).
 FORMAT_VERSION = 5
 
 
@@ -76,7 +80,7 @@ def index_fingerprint(
     method: str = "auto",
     graph_digest_hint: str | None = None,
 ) -> str:
-    """The cache key a snapshot of ``build_index(...)`` is stored under.
+    """The cache key a snapshot of ``open_index(...)`` is stored under.
 
     ``graph_digest_hint`` lets callers that already computed
     :func:`graph_digest` (e.g. the query service's graph store, which

@@ -39,7 +39,7 @@ from typing import Any
 
 from repro.contracts import build_phase
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
-from repro.core.engine import QueryIndex, build_index
+from repro.core.engine import QueryIndex, open_index
 from repro.errors import ReproError
 from repro.graphs.colored_graph import ColoredGraph
 from repro.logic.syntax import Formula, Var
@@ -226,7 +226,9 @@ def load_or_build(
                 logger.warning("snapshot rejected, rebuilding: %s", exc)
                 status = "rebuilt"
         _metrics_count("persist.cache_misses")
-        index = build_index(graph, query, free_order, method=method, config=config)
+        index = open_index(
+            graph, query, free_order=free_order, method=method, config=config
+        )
         try:
             save_index(index, path, fingerprint)
         except OSError as exc:  # a read-only cache degrades to cold builds
@@ -250,6 +252,8 @@ def warm(
     header that was written (fingerprint, sizes, timings).
     """
     fingerprint = index_fingerprint(graph, query, free_order, config, method)
-    index = build_index(graph, query, free_order, method=method, config=config)
+    index = open_index(
+        graph, query, free_order=free_order, method=method, config=config
+    )
     header = save_index(index, path, fingerprint)
     return index, header

@@ -6,7 +6,7 @@ Theorem 2.3's pseudo-linear preprocessing is paid **once per distinct
 every later request answers in constant time from the warm object.  Three
 tiers, coldest to warmest:
 
-1. **build** — no snapshot, no cached object: run ``build_index`` and
+1. **build** — no snapshot, no cached object: run ``open_index`` and
    (best-effort) write a snapshot;
 2. **snapshot** — a valid ``.rpx`` snapshot exists in ``snapshot_dir``:
    unpickle instead of rebuilding (the ``repro warm`` command pre-seeds
@@ -40,7 +40,7 @@ from typing import Any
 
 from repro.contracts import guarded_by, locked
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
-from repro.core.engine import QueryIndex, build_index
+from repro.core.engine import QueryIndex, open_index
 from repro.graphs.colored_graph import ColoredGraph
 from repro.logic.syntax import Formula, Var
 from repro.persist import (
@@ -94,7 +94,7 @@ class IndexCache:
         misses fail fast with :class:`TooManyBuilds`.
     build_fn:
         Injection point for tests; defaults to
-        :func:`repro.core.engine.build_index`.
+        :func:`repro.core.engine.open_index`.
     """
 
     def __init__(
@@ -104,7 +104,7 @@ class IndexCache:
         config: EngineConfig = DEFAULT_CONFIG,
         build_wait_seconds: float = 60.0,
         max_in_flight_builds: int = 4,
-        build_fn: Callable[..., QueryIndex] = build_index,
+        build_fn: Callable[..., QueryIndex] = open_index,
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
@@ -269,7 +269,7 @@ class IndexCache:
                         self.stats["snapshot_loads"] += 1
                     return index, "snapshot"
         index = self._build_fn(
-            graph, query, free_order, method=method, config=self.config
+            graph, query, free_order=free_order, method=method, config=self.config
         )
         with self._lock:
             self.stats["builds"] += 1

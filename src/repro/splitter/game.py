@@ -14,7 +14,6 @@ needs single Splitter moves (Remark 4.7), supplied by
 from __future__ import annotations
 
 import random
-from collections.abc import Collection
 
 from repro.graphs.colored_graph import ColoredGraph
 from repro.splitter.strategies import SplitterStrategy, default_strategy
@@ -133,20 +132,3 @@ def rounds_to_win(
             play_game(graph, radius, strategy, connector=policy, seed=seed + trial),
         )
     return worst
-
-
-def splitter_move(
-    graph: ColoredGraph,
-    ball: Collection[int],
-    connector: int,
-    radius: int,
-    strategy: SplitterStrategy | None = None,
-) -> int:
-    """One-shot Splitter answer for a bag: the engine's use of Remark 4.7.
-
-    ``ball`` should contain ``N_radius(connector)`` (e.g. a cover bag with
-    its center); the returned vertex is Splitter's deletion ``s_X``.
-    """
-    if strategy is None:
-        strategy = default_strategy(graph)
-    return strategy.choose(graph, ball, ball, connector, radius)

@@ -23,10 +23,10 @@ with the same zero-cost-when-off discipline:
 Quick start::
 
     from repro import trace
-    from repro.core.engine import build_index
+    from repro.core.engine import open_index
 
     with trace.tracing("experiment") as tracer:
-        index = build_index(graph, "E(x, y)")
+        index = open_index(graph, "E(x, y)")
         list(index.enumerate())
 
     print(trace.render_tree(tracer))

@@ -181,13 +181,13 @@ class TestRuntimeFreeze:
         return g
 
     def test_frozen_index_raises_on_mutation_but_still_answers(self, graph):
-        from repro.core.engine import build_index
+        from repro.core.engine import open_index
 
-        oracle = build_index(graph, self.QUERY)
+        oracle = open_index(graph, self.QUERY)
         answers = list(oracle.enumerate())
         tests = {(v,): oracle.test((v,)) for v in range(-1, graph.n + 1)}
 
-        cold = build_index(graph, self.QUERY)
+        cold = open_index(graph, self.QUERY)
         with freeze():
             assert freeze_active()
             with pytest.raises(FrozenMutationError):
@@ -204,9 +204,9 @@ class TestRuntimeFreeze:
         assert not freeze_active()
 
     def test_build_phase_reopens_mutation(self, graph):
-        from repro.core.engine import build_index
+        from repro.core.engine import open_index
 
-        index = build_index(graph, self.QUERY)
+        index = open_index(graph, self.QUERY)
         with freeze():
             with pytest.raises(FrozenMutationError):
                 index.graph = None
@@ -214,9 +214,9 @@ class TestRuntimeFreeze:
                 index.graph = graph  # explicit build phases may mutate
 
     def test_dynamic_updates_survive_paranoid_mode(self, graph):
-        from repro.core.engine import build_index
+        from repro.core.engine import open_index
 
-        index = build_index(graph, "exists y. E(x, y) & Cold(y)")
+        index = open_index(graph, "exists y. E(x, y) & Cold(y)")
         with freeze():
             # color flips repair inside an explicit build phase and
             # return new generations — no tripwire, and no write to the
@@ -228,11 +228,11 @@ class TestRuntimeFreeze:
             assert hot.test((9,)) and not index.test((9,))
 
     def test_snapshot_roundtrip_under_freeze(self, tmp_path, graph):
-        from repro.core.engine import build_index
+        from repro.core.engine import open_index
         from repro.persist.fingerprint import index_fingerprint
         from repro.persist.snapshot import load_index, save_index
 
-        index = build_index(graph, self.QUERY)
+        index = open_index(graph, self.QUERY)
         answers = list(index.enumerate())
         target = tmp_path / "index.rpx"
         save_index(index, target, index_fingerprint(graph, self.QUERY))

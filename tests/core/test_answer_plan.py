@@ -14,7 +14,7 @@ import pytest
 from repro.contracts import instrument
 from repro.core.config import EngineConfig
 from repro.core.distance_types import DistanceType, type_mask
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import grid
 from repro.workloads import by_name
 
@@ -45,7 +45,7 @@ def _is_type_work(qualname: str) -> bool:
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_answer_path_does_no_type_work(monkeypatch, name):
-    index = build_index(grid(12, 12, seed=2), by_name(name).text)
+    index = open_index(grid(12, 12, seed=2), by_name(name).text)
     _probe_stream(index, seed=1, rounds=40)  # the warm pass
     built: list[DistanceType] = []
     post_init = DistanceType.__post_init__
@@ -60,14 +60,14 @@ def test_answer_path_does_no_type_work(monkeypatch, name):
     assert counts["repro.core.last_coordinate.LastCoordinateIndex.first_last"] > 0
     assert {q: c for q, c in counts.items() if _is_type_work(q)} == {}
     assert built == []
-    naive = build_index(index.graph, by_name(name).text, method="naive")
+    naive = open_index(index.graph, by_name(name).text, method="naive")
     assert answers == _probe_stream(naive, seed=2, rounds=40)
 
 
 @pytest.mark.parametrize("name", WORKLOADS + ["far-witness-3"])
 def test_plan_holds_each_type_alternative_once_under_its_prefix_mask(name):
     config = EngineConfig(dist_naive_threshold=10, bag_naive_threshold=12)
-    index = build_index(grid(6, 6, seed=1), by_name(name).text, config=config)
+    index = open_index(grid(6, 6, seed=1), by_name(name).text, config=config)
     node = index._impl
     while getattr(node, "last", None) is not None:
         last = node.last

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import random_planar_like_graph
 
 QUERY = "exists z. E(x, z) & E(z, y)"
@@ -29,7 +29,7 @@ PROBES_PER_THREAD = 60
 def oracle():
     """Single-threaded ground truth on an identical but separate index."""
     graph = random_planar_like_graph(48, seed=9)
-    ix = build_index(graph, QUERY)
+    ix = open_index(graph, QUERY)
     solutions = list(ix.enumerate())
     tests = {}
     nexts = {}
@@ -44,7 +44,7 @@ def oracle():
 def test_concurrent_readers_agree_with_oracle(oracle):
     graph, solutions, tests, nexts = oracle
     # a fresh, cold index: the interesting races are first-touch memoizations
-    shared = build_index(graph, QUERY)
+    shared = open_index(graph, QUERY)
     barrier = threading.Barrier(THREADS)
     probes = list(tests)
 
@@ -75,7 +75,7 @@ def test_concurrent_readers_agree_with_oracle(oracle):
 
 def test_concurrent_full_enumerations_identical(oracle):
     graph, solutions, _, _ = oracle
-    shared = build_index(graph, QUERY)
+    shared = open_index(graph, QUERY)
     barrier = threading.Barrier(THREADS)
 
     def enumerate_all(_: int) -> list[tuple[int, ...]]:

@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.contracts.effects import freeze
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import random_planar_like_graph
 from repro.storage.shared import share_index
 
@@ -58,7 +58,7 @@ def _edits(graph, count, seed):
 @pytest.fixture(params=["object", "arena"])
 def index(request):
     """The old generation, its registers private or in a shared arena."""
-    index = build_index(random_planar_like_graph(48, seed=9), QUERY)
+    index = open_index(random_planar_like_graph(48, seed=9), QUERY)
     if request.param == "object":
         yield index
         return
@@ -115,6 +115,6 @@ def test_readers_stable_while_updates_in_flight(index):
     assert list(index.enumerate()) == before
     # ... and the new generation is exactly what a rebuild would produce
     assert updated.version == UPDATES
-    rebuilt = build_index(updated.graph, QUERY)
+    rebuilt = open_index(updated.graph, QUERY)
     assert updated.registers() == rebuilt.registers()
     assert list(updated.enumerate()) == list(rebuilt.enumerate())

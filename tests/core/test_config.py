@@ -13,7 +13,7 @@ def test_defaults_are_sane():
     assert DEFAULT_CONFIG.bag_naive_threshold >= 2
     assert DEFAULT_CONFIG.dist_max_depth >= 1
     assert DEFAULT_CONFIG.bag_max_depth >= 1
-    assert DEFAULT_CONFIG.precompute_far is True
+    assert len(dataclasses.fields(EngineConfig)) == 5
 
 
 def test_frozen():
@@ -29,12 +29,12 @@ def test_replace_produces_new_config():
 
 
 def test_custom_config_flows_through_engine():
-    from repro.core.engine import build_index
+    from repro.core.engine import open_index
     from repro.graphs.generators import random_tree
 
     g = random_tree(25, seed=1)
     config = EngineConfig(bag_naive_threshold=5, dist_naive_threshold=5)
-    index = build_index(g, "dist(x, y) <= 2", config=config)
+    index = open_index(g, "dist(x, y) <= 2", config=config)
     assert index._impl.config is config
 
 
@@ -68,14 +68,13 @@ def knob_graph_and_answers():
         {"dist_naive_threshold": 500},
         {"dist_max_depth": 1},
         {"bag_max_depth": 1},
-        {"precompute_far": False},
     ],
     ids=lambda knobs: "-".join(f"{k}={v}" for k, v in knobs.items()),
 )
 def test_answers_invariant_under_knobs(knob_graph_and_answers, knobs):
-    from repro.core.engine import build_index
+    from repro.core.engine import open_index
 
     g, expected = knob_graph_and_answers
-    index = build_index(g, KNOB_QUERY, config=EngineConfig(**knobs))
+    index = open_index(g, KNOB_QUERY, config=EngineConfig(**knobs))
     assert index.method == "indexed"
     assert list(index.enumerate()) == expected

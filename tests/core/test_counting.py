@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.naive import NaiveIndex
 from repro.core.config import EngineConfig
 from repro.core.counting import CountingIndex, count_solutions
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.colored_graph import ColoredGraph
 from repro.graphs.generators import grid, random_planar_like_graph, random_tree
 from repro.logic.parser import parse_formula
@@ -29,7 +29,7 @@ def test_binary_count_matches_naive(text):
     for maker in (lambda: random_tree(40, seed=5), lambda: grid(6, 6, seed=5)):
         g = maker()
         phi = parse_formula(text)
-        counting = CountingIndex(build_index(g, phi, (x, y), config=TINY))
+        counting = CountingIndex(open_index(g, phi, free_order=(x, y), config=TINY))
         assert counting.method == "closed-form"
         assert counting.count() == len(NaiveIndex(g, phi, (x, y)))
 
@@ -37,7 +37,7 @@ def test_binary_count_matches_naive(text):
 def test_per_prefix_counts():
     g = random_planar_like_graph(40, seed=7)
     phi = parse_formula("dist(x, y) > 2 & Blue(y)")
-    counting = CountingIndex(build_index(g, phi, (x, y), config=TINY))
+    counting = CountingIndex(open_index(g, phi, free_order=(x, y), config=TINY))
     naive = NaiveIndex(g, phi, (x, y))
     for a in g.vertices():
         expected = sum(1 for t in naive.solutions if t[0] == a)
@@ -62,14 +62,14 @@ def test_sentence_count():
 def test_arity3_falls_back_to_enumeration():
     g = random_planar_like_graph(24, seed=2)
     phi = parse_formula("E(x, y) & E(y, z)")
-    counting = CountingIndex(build_index(g, phi, (x, y, z), config=TINY))
+    counting = CountingIndex(open_index(g, phi, free_order=(x, y, z), config=TINY))
     assert counting.method == "enumerate"
     assert counting.count() == len(NaiveIndex(g, phi, (x, y, z)))
 
 
 def test_count_suffixes_rejects_non_binary():
     g = random_tree(10, seed=1)
-    counting = CountingIndex(build_index(g, "Red(x)", config=TINY))
+    counting = CountingIndex(open_index(g, "Red(x)", config=TINY))
     with pytest.raises(ValueError):
         counting.count_suffixes(0)
 
@@ -82,7 +82,7 @@ def test_empty_result():
 def test_naive_fallback_counts_its_stored_solutions():
     g = random_tree(12, seed=3)
     phi = parse_formula("E(x, y) & Red(y)")
-    counting = CountingIndex(build_index(g, phi, (x, y), method="naive"))
+    counting = CountingIndex(open_index(g, phi, free_order=(x, y), method="naive"))
     naive = NaiveIndex(g, phi, (x, y))
     assert counting.method == "stored"
     assert counting.count() == len(naive)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.baselines.naive import NaiveIndex
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import grid, path, random_tree
 from repro.logic.parser import parse_formula
 from repro.logic.semantics import evaluate
@@ -32,7 +32,7 @@ def solutions(index):
 
 def test_docstring_example():
     g = path(8, palette=())
-    index = build_index(g, "exists y. E(x, y) & Hot(y)")
+    index = open_index(g, "exists y. E(x, y) & Hot(y)")
     assert solutions(index) == []
     hot = index.add_color("Hot", 4)
     assert solutions(hot) == [3, 5]
@@ -49,7 +49,7 @@ def test_random_update_sequences_match_brute_force(text):
     rng = random.Random(text)
     g = random_tree(40, seed=6, palette=())
     phi = parse_formula(text)
-    index = build_index(g, phi, free_order=(x,))
+    index = open_index(g, phi, free_order=(x,))
     generations = [(index, brute(g, phi))]
     for _ in range(60):
         color = rng.choice(["Hot", "Cold"])
@@ -69,7 +69,7 @@ def test_random_update_sequences_match_brute_force(text):
 
 def test_queries_after_updates():
     g = grid(5, 5, palette=())
-    index = build_index(g, "exists y. E(x, y) & Hot(y)").add_color("Hot", 12)
+    index = open_index(g, "exists y. E(x, y) & Hot(y)").add_color("Hot", 12)
     assert all(index.test((v,)) for v in (7, 11, 13, 17))
     assert not index.test((12,))  # the center itself has no hot *neighbor*
     assert index.next_solution((0,)) == (7,)
@@ -82,7 +82,7 @@ def test_unguarded_query_escalates(text):
     # no certified locality radius: the unary level is re-solved and the
     # sentence re-model-checked, not patched around the flipped vertex
     g = path(5, palette=())
-    index = build_index(g, text).add_color("Cold", 1).add_color("Cold", 3)
+    index = open_index(g, text).add_color("Cold", 1).add_color("Cold", 3)
     assert index.method == "indexed"
     for step, v in enumerate([4, 2, 4, 0]):
         flip = index.remove_color if index.graph.has_color(v, "Hot") else index.add_color
@@ -93,7 +93,7 @@ def test_unguarded_query_escalates(text):
 
 def test_idempotent_updates():
     g = path(6, palette=())
-    index = build_index(g, "Hot(x)")
+    index = open_index(g, "Hot(x)")
     once = index.add_color("Hot", 2)
     assert once.add_color("Hot", 2) is once
     assert solutions(once) == [2] and once.version == 1

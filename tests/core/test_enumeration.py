@@ -70,11 +70,11 @@ def test_enumeration_resumes_from_start():
 
 
 def test_query_index_enumerate_start_matches_both_methods():
-    from repro.core.engine import build_index
+    from repro.core.engine import open_index
 
     g = random_tree(25, seed=9)
-    indexed = build_index(g, "dist(x, y) <= 2", config=TINY)
-    naive = build_index(g, "dist(x, y) <= 2", method="naive")
+    indexed = open_index(g, "dist(x, y) <= 2", config=TINY)
+    naive = open_index(g, "dist(x, y) <= 2", method="naive")
     start = (5, 0)
     assert list(indexed.enumerate(start=start)) == list(naive.enumerate(start=start))
 
@@ -82,10 +82,10 @@ def test_query_index_enumerate_start_matches_both_methods():
 def test_every_step_span_carries_its_op_count():
     """Pages run the same steps as ``enumerate()``, so they are metered alike."""
     from repro import metrics
-    from repro.core.engine import build_index
+    from repro.core.engine import open_index
     from repro.trace.runtime import tracing
 
-    index = build_index(random_tree(40, seed=2), "dist(x, y) <= 2", config=TINY)
+    index = open_index(random_tree(40, seed=2), "dist(x, y) <= 2", config=TINY)
     with metrics.collect(ops=True), tracing("steps") as tracer:
         assert len(list(islice(index.enumerate(), 6))) == 6
         page = index.enumerate_page((7, 0), 5)

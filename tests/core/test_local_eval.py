@@ -154,7 +154,7 @@ def test_sparse_build_tests_only_guard_ball_candidates(monkeypatch):
     """Count guard: building the sparse query on a grid tests, per prefix,
     at most the 13 vertices of a radius-2 grid ball, not the whole bag."""
     import repro.core.local_eval as local_eval
-    from repro.core.engine import build_index
+    from repro.core.engine import open_index
     from repro.graphs.generators import grid
 
     tested: list[tuple[int, int]] = []  # (bag size, candidates tested)
@@ -175,7 +175,7 @@ def test_sparse_build_tests_only_guard_ball_candidates(monkeypatch):
 
     monkeypatch.setattr(LocalEvaluator, "column", counting_column)
     monkeypatch.setattr(local_eval, "evaluate", counting_evaluate)
-    build_index(grid(20, 20), "exists z. E(x, z) & E(z, y)")
+    open_index(grid(20, 20), "exists z. E(x, z) & E(z, y)")
     assert sum(count for _, count in tested) > 0
     assert max(size for size, _ in tested) > 13
     assert max(count for _, count in tested) <= 13

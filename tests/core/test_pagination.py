@@ -7,7 +7,7 @@ from itertools import islice
 
 import pytest
 
-from repro.core.engine import Page, build_index
+from repro.core.engine import Page, open_index
 from repro.graphs.colored_graph import ColoredGraph
 from repro.graphs.generators import grid, random_tree
 from repro.workloads import by_name, indexable
@@ -17,7 +17,7 @@ QUERY = "E(x, y)"
 
 @pytest.fixture(params=["auto", "naive"])
 def index(request):
-    return build_index(random_tree(40, seed=3), QUERY, method=request.param)
+    return open_index(random_tree(40, seed=3), QUERY, method=request.param)
 
 
 def walk_pages(index, limit):
@@ -74,14 +74,14 @@ def test_page_is_iterable_and_sized(index):
 
 
 def test_arity_zero_query():
-    ix = build_index(random_tree(12, seed=1), "exists x. exists y. E(x, y)")
+    ix = open_index(random_tree(12, seed=1), "exists x. exists y. E(x, y)")
     page = ix.enumerate_page(limit=3)
     assert page.items == [()]
     assert page.next_cursor is None
 
 
 def test_empty_graph_yields_empty_page():
-    ix = build_index(ColoredGraph(0), QUERY)
+    ix = open_index(ColoredGraph(0), QUERY)
     page = ix.enumerate_page(limit=5)
     assert page.items == []
     assert page.next_cursor is None
@@ -112,7 +112,7 @@ START_CASES = [(w.text, "auto") for w in indexable()] + [
 )
 def test_enumerate_clamps_out_of_domain_starts(text, method):
     """``enumerate(start)`` normalizes ``start`` like the page and next paths."""
-    index = build_index(grid(10, 10, seed=5), text, method=method)
+    index = open_index(grid(10, 10, seed=5), text, method=method)
     n = index.graph.n
     rng = random.Random(f"{text}:{method}")
     for _ in range(60):

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from repro.core.removal import remove_vertex, removal_rewrite
+from repro.core.removal import remove_vertex, rewrite_without_vertex
 from repro.graphs.colored_graph import ColoredGraph
 from repro.graphs.generators import random_planar_like_graph
 from repro.logic.parser import parse_formula
-from repro.logic.ranks import quantifier_rank
+from repro.logic.ranks import max_distance_bound, quantifier_rank
 from repro.logic.semantics import evaluate
+from repro.logic.syntax import Var
 from repro.logic.transform import free_variables
 
 QUERIES = [
@@ -24,6 +25,14 @@ QUERIES = [
 ]
 
 
+def remove_and_rewrite(phi, graph, s, s_vars=frozenset()):
+    """Lemma 5.5 through the two calls ``BagSolver`` makes: recolor ``G - s``,
+    then rewrite ``phi`` over the fresh distance colors."""
+    removal = remove_vertex(graph, s, max(1, max_distance_bound(phi)))
+    rewritten = rewrite_without_vertex(phi, s_vars, graph, s, removal.color_prefix)
+    return rewritten, removal
+
+
 def check_equivalence(graph, text, s, rng, samples=60):
     phi = parse_formula(text)
     fv = sorted(free_variables(phi), key=lambda v: v.name)
@@ -31,7 +40,7 @@ def check_equivalence(graph, text, s, rng, samples=60):
         values = [rng.randrange(graph.n) for _ in fv]
         truth = evaluate(graph, phi, dict(zip(fv, values)))
         s_vars = frozenset(v for v, val in zip(fv, values) if val == s)
-        rewritten, removal = removal_rewrite(phi, graph, s, s_vars)
+        rewritten, removal = remove_and_rewrite(phi, graph, s, s_vars)
         assignment = {
             v: removal.to_new[val] for v, val in zip(fv, values) if val != s
         }
@@ -55,7 +64,7 @@ def test_rewritten_query_preserves_quantifier_rank():
     graph = random_planar_like_graph(12, seed=0)
     for text in QUERIES:
         phi = parse_formula(text)
-        rewritten, _ = removal_rewrite(phi, graph, 3)
+        rewritten, _ = remove_and_rewrite(phi, graph, 3)
         assert quantifier_rank(rewritten) <= quantifier_rank(phi)
 
 
@@ -86,8 +95,6 @@ def test_distance_atom_zero_with_s_variable_is_false():
     # dist(x, s) <= 0 means x = s, impossible for a live variable
     graph = ColoredGraph(3, [(0, 1), (1, 2)])
     phi = parse_formula("dist(x, y) <= 0")
-    from repro.logic.syntax import Var
-
-    rewritten, removal = removal_rewrite(phi, graph, 2, frozenset({Var("y")}))
+    rewritten, removal = remove_and_rewrite(phi, graph, 2, frozenset({Var("y")}))
     for v in range(2):
         assert not evaluate(removal.graph, rewritten, {Var("x"): v})

@@ -56,16 +56,6 @@ def test_assigned_lists_partition_vertices():
     assert sorted(seen) == list(g.vertices())
 
 
-def test_next_member_successor_semantics():
-    g = path(20, palette=())
-    cover = build_cover(g, 2)
-    for bag_id, bag in enumerate(cover.bags):
-        assert cover.next_member(bag_id, 0) == bag[0]
-        assert cover.next_member(bag_id, bag[-1], strict=True) is None
-        for member in bag:
-            assert cover.next_member(bag_id, member) == member
-
-
 def test_radius_zero_cover_is_singletons():
     g = path(5, palette=())
     cover = build_cover(g, 0)
@@ -134,4 +124,4 @@ def test_constructor_rejects_unassigned_vertices():
 
     g = path(3, palette=())
     with pytest.raises(ValueError, match="did not cover"):
-        NeighborhoodCover(g, 1, 2, [[0, 1, 2]], [1], [0, 0, -1], 0.5)
+        NeighborhoodCover(g, 1, 2, [[0, 1, 2]], [1], [0, 0, -1])

@@ -17,7 +17,18 @@ from repro.graphs.generators import (
     star,
     subdivided_clique,
 )
-from repro.graphs.neighborhoods import connected_components
+from repro.graphs.neighborhoods import bounded_bfs
+
+
+def component_count(g):
+    """Connected components, counted by one unbounded BFS per unseen vertex."""
+    seen: set[int] = set()
+    count = 0
+    for v in g.vertices():
+        if v not in seen:
+            seen.update(bounded_bfs(g, [v], g.n))
+            count += 1
+    return count
 
 
 def test_path_shape():
@@ -44,18 +55,18 @@ def test_binary_tree_shape():
     g = binary_tree(3)
     assert g.n == 15
     assert g.num_edges == 14
-    assert len(connected_components(g)) == 1
+    assert component_count(g) == 1
 
 
 def test_random_tree_is_tree():
     g = random_tree(40, seed=3)
     assert g.num_edges == g.n - 1
-    assert len(connected_components(g)) == 1
+    assert component_count(g) == 1
 
 
 def test_random_forest_has_requested_components():
     g = random_forest(40, trees=4, seed=1)
-    assert len(connected_components(g)) == 4
+    assert component_count(g) == 4
     assert g.num_edges == g.n - 4
 
 
@@ -142,7 +153,7 @@ def test_hex_grid_degree_three():
 
     g = hex_grid(10, 10)
     assert max(g.degree(v) for v in g.vertices()) <= 3
-    assert len(connected_components(g)) >= 1
+    assert component_count(g) >= 1
 
 
 def test_long_cycle_with_chords_local():

@@ -5,20 +5,11 @@ from repro.graphs.generators import grid, path
 from repro.graphs.neighborhoods import (
     INFINITY,
     ball,
-    bfs_distances,
     bounded_bfs,
-    connected_components,
     distance,
-    eccentricity,
     induced_subgraph,
     tuple_ball,
 )
-
-
-def test_bfs_distances_on_path():
-    g = path(5, palette=())
-    dist = bfs_distances(g, 0)
-    assert dist == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
 
 
 def test_bounded_bfs_respects_radius():
@@ -67,15 +58,3 @@ def test_induced_subgraph_keeps_colors_inside_only():
     g = ColoredGraph(4, [(0, 1)], colors={"A": [0, 3]})
     sub = induced_subgraph(g, [0, 1])
     assert sub.color("A") == {0}
-
-
-def test_connected_components():
-    g = ColoredGraph(5, [(0, 1), (2, 3)])
-    comps = sorted(connected_components(g), key=min)
-    assert comps == [{0, 1}, {2, 3}, {4}]
-
-
-def test_eccentricity():
-    g = path(5, palette=())
-    assert eccentricity(g, 0) == 4
-    assert eccentricity(g, 2) == 2

@@ -11,7 +11,6 @@ from repro.graphs.generators import (
     subdivided_clique,
 )
 from repro.graphs.sparsity import (
-    average_degree,
     degeneracy,
     degeneracy_order,
     edge_density_exponent,
@@ -70,11 +69,6 @@ def test_edge_density_exponent_near_one_for_sparse():
 def test_is_edgeless():
     assert is_edgeless(ColoredGraph(5))
     assert not is_edgeless(path(3, palette=()))
-
-
-def test_average_degree():
-    assert average_degree(path(5, palette=())) == 8 / 5
-    assert average_degree(ColoredGraph(0)) == 0.0
 
 
 def test_weak_accessibility_respects_given_order():

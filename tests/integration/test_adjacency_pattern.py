@@ -9,7 +9,7 @@ engine answers exactly.
 import random
 
 from repro.baselines.naive import NaiveIndex
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.core.normal_form import decompose
 from repro.db.adjacency import adjacency_graph
 from repro.db.database import Database, Schema
@@ -58,7 +58,7 @@ def test_fof_query_indexed_and_exact():
     db = network()
     enc = adjacency_graph(db)
     psi = rewrite_query(friend_of_friend())
-    index = build_index(enc.graph, psi, free_order=(x, y))
+    index = open_index(enc.graph, psi, free_order=(x, y))
     assert index.method == "indexed"
     naive = NaiveIndex(enc.graph, psi, (x, y))
     assert list(index.enumerate()) == naive.solutions
@@ -83,7 +83,7 @@ def test_friend_count_matches_database():
             db.add("Likes", (a, b))
     enc = adjacency_graph(db)
     psi = rewrite_query(RelationAtom("Friend", (x, y)))
-    index = build_index(enc.graph, psi, free_order=(x, y))
+    index = open_index(enc.graph, psi, free_order=(x, y))
     assert index.method == "indexed"
     assert index.count() == len(db.relation("Friend"))
 
@@ -92,7 +92,7 @@ def test_negated_relation_alone():
     db = network(people=12)
     enc = adjacency_graph(db)
     psi = rewrite_query(Not(RelationAtom("Friend", (x, y))))
-    index = build_index(enc.graph, psi, free_order=(x, y))
+    index = open_index(enc.graph, psi, free_order=(x, y))
     naive = NaiveIndex(enc.graph, psi, (x, y))
     assert list(index.enumerate()) == naive.solutions
     assert index.method == "indexed"

@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.naive import NaiveIndex
 from repro.core.config import EngineConfig
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import random_planar_like_graph
 from repro.logic.parser import parse_formula
 
@@ -26,7 +26,7 @@ QUERIES_ARITY3 = [
 def test_arity3_indexed_equals_naive(text, exact):
     g = random_planar_like_graph(32, seed=9)
     phi = parse_formula(text)
-    index = build_index(g, phi, config=TINY)
+    index = open_index(g, phi, config=TINY)
     assert index.method == "indexed"
     assert index.exact_delay == exact
     naive = NaiveIndex(g, phi, index.free_order)
@@ -40,7 +40,7 @@ def test_arity3_indexed_equals_naive(text, exact):
 
 def test_repeated_values_in_tuples():
     g = random_planar_like_graph(24, seed=3)
-    index = build_index(g, "dist(x, y) <= 1 & dist(y, z) <= 1", config=TINY)
+    index = open_index(g, "dist(x, y) <= 1 & dist(y, z) <= 1", config=TINY)
     naive = NaiveIndex(
         g, parse_formula("dist(x, y) <= 1 & dist(y, z) <= 1"), index.free_order
     )

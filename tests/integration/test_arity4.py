@@ -9,7 +9,7 @@ import random
 
 from repro.baselines.naive import NaiveIndex
 from repro.core.config import EngineConfig
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import random_planar_like_graph
 from repro.logic.parser import parse_formula
 
@@ -19,7 +19,7 @@ TINY = EngineConfig(dist_naive_threshold=8, bag_naive_threshold=8)
 def test_guarded_path_query():
     g = random_planar_like_graph(14, seed=8)
     phi = parse_formula("E(w, x) & E(x, y) & E(y, z)")
-    index = build_index(g, phi, free_order=("w", "x", "y", "z"), config=TINY)
+    index = open_index(g, phi, free_order=("w", "x", "y", "z"), config=TINY)
     assert index.method == "indexed"
     naive = NaiveIndex(g, phi, index.free_order)
     assert list(index.enumerate()) == naive.solutions
@@ -33,7 +33,7 @@ def test_guarded_path_query():
 def test_mixed_far_query():
     g = random_planar_like_graph(12, seed=3)
     phi = parse_formula("E(w, x) & E(y, z) & dist(x, y) > 2")
-    index = build_index(g, phi, free_order=("w", "x", "y", "z"), config=TINY)
+    index = open_index(g, phi, free_order=("w", "x", "y", "z"), config=TINY)
     assert index.method == "indexed"
     naive = NaiveIndex(g, phi, index.free_order)
     assert list(index.enumerate()) == naive.solutions

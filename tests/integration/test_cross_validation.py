@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import EngineConfig
 from repro.core.counting import CountingIndex
 from repro.core.distance_index import DistanceIndex
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.core.unary import unary_solutions
 from repro.graphs.generators import random_planar_like_graph, random_tree
 from repro.logic.parser import parse_formula
@@ -31,7 +31,7 @@ TINY = EngineConfig(dist_naive_threshold=10, bag_naive_threshold=8)
 def test_enumerated_count_equals_closed_form(text):
     g = random_planar_like_graph(36, seed=4)
     phi = parse_formula(text)
-    index = build_index(g, phi, config=TINY)
+    index = open_index(g, phi, config=TINY)
     counting = CountingIndex(index)
     assert counting.method == "closed-form"
     assert sum(1 for _ in index.enumerate()) == counting.count() == index.count()
@@ -41,7 +41,7 @@ def test_distance_index_agrees_with_query_engine():
     g = random_tree(40, seed=6)
     r = 2
     dist_index = DistanceIndex(g, r, naive_threshold=12)
-    query_index = build_index(g, f"dist(x, y) <= {r}", config=TINY)
+    query_index = open_index(g, f"dist(x, y) <= {r}", config=TINY)
     rng = random.Random(2)
     for _ in range(200):
         a, b = rng.randrange(g.n), rng.randrange(g.n)
@@ -51,7 +51,7 @@ def test_distance_index_agrees_with_query_engine():
 def test_unary_paths_agree():
     g = random_tree(35, seed=8)
     phi = parse_formula("exists y. E(x, y) & Hot(y)")
-    flipped = build_index(g, phi)
+    flipped = open_index(g, phi)
     for v in (3, 7, 20):
         flipped = flipped.add_color("Hot", v)
     g = g.copy()
@@ -64,7 +64,7 @@ def test_unary_paths_agree():
 def test_dynamic_converges_to_static_after_updates():
     g = random_tree(30, seed=10, palette=())
     phi = parse_formula("exists y. E(x, y) & Hot(y)")
-    dynamic = build_index(g, phi)
+    dynamic = open_index(g, phi)
     rng = random.Random(3)
     for _ in range(25):
         v = rng.randrange(g.n)
@@ -75,4 +75,4 @@ def test_dynamic_converges_to_static_after_updates():
     # rebuild statically on the final graph: must agree, register for register
     final = dynamic.graph
     assert [v for (v,) in dynamic.enumerate()] == unary_solutions(final, phi, x)
-    assert dynamic.registers() == build_index(final, phi).registers()
+    assert dynamic.registers() == open_index(final, phi).registers()

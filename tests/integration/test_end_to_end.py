@@ -13,7 +13,7 @@ import pytest
 
 from repro.baselines.naive import NaiveIndex
 from repro.core.config import EngineConfig
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import grid, random_planar_like_graph, random_tree
 from repro.logic.parser import parse_formula
 
@@ -45,7 +45,7 @@ def graph(request):
 @pytest.mark.parametrize("text", QUERIES_ARITY2)
 def test_indexed_equals_naive(graph, text):
     phi = parse_formula(text)
-    index = build_index(graph, phi, config=TINY)
+    index = open_index(graph, phi, config=TINY)
     assert index.method == "indexed", text
     naive = NaiveIndex(graph, phi, index.free_order)
     assert list(index.enumerate()) == naive.solutions
@@ -70,7 +70,7 @@ def test_relational_database_pipeline():
     enc = adjacency_graph(db)
     x, y = Var("x"), Var("y")
     psi = rewrite_query(RelationAtom("Friend", (x, y)))
-    index = build_index(enc.graph, psi, free_order=(x, y))
+    index = open_index(enc.graph, psi, free_order=(x, y))
     answers = {t for t in index.enumerate()}
     expected = set(db.relation("Friend"))
     assert answers == expected
@@ -86,7 +86,7 @@ def test_disconnected_graph():
     for i in range(0, 18, 2):
         g.add_edge(i, i + 1)
     g.set_color("Blue", range(0, 20, 3))
-    index = build_index(g, "dist(x, y) > 2 & Blue(y)", config=TINY)
+    index = open_index(g, "dist(x, y) > 2 & Blue(y)", config=TINY)
     naive = NaiveIndex(g, parse_formula("dist(x, y) > 2 & Blue(y)"), index.free_order)
     assert list(index.enumerate()) == naive.solutions
 
@@ -95,5 +95,5 @@ def test_single_vertex_graph():
     from repro.graphs.colored_graph import ColoredGraph
 
     g = ColoredGraph(1, colors={"Red": [0]})
-    index = build_index(g, "Red(x) & Red(y)")
+    index = open_index(g, "Red(x) & Red(y)")
     assert list(index.enumerate()) == [(0, 0)]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveIndex
 from repro.core.config import EngineConfig
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.colored_graph import ColoredGraph
 from repro.logic.parser import parse_formula
 
@@ -58,7 +58,7 @@ def sparse_colored_graph(draw):
 @settings(max_examples=40, deadline=None)
 def test_engine_matches_naive_on_random_graphs(g, text, probe_seed):
     phi = parse_formula(text)
-    index = build_index(g, phi, config=TINY)
+    index = open_index(g, phi, config=TINY)
     naive = NaiveIndex(g, phi, index.free_order)
     assert list(index.enumerate()) == naive.solutions
     rng = random.Random(probe_seed)
@@ -71,7 +71,7 @@ def test_engine_matches_naive_on_random_graphs(g, text, probe_seed):
 @given(sparse_colored_graph())
 @settings(max_examples=30, deadline=None)
 def test_enumeration_is_strictly_increasing_and_complete(g):
-    index = build_index(g, "dist(x, y) <= 2", config=TINY)
+    index = open_index(g, "dist(x, y) <= 2", config=TINY)
     previous = None
     count = 0
     for solution in index.enumerate():

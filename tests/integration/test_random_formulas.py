@@ -2,7 +2,7 @@
 
 A hypothesis strategy generates formulas inside the guarded fragment
 (atoms over two free variables, Boolean combinations, guarded ∃/∀), so
-``build_index`` should almost always choose the indexed path — and must
+``open_index`` should almost always choose the indexed path — and must
 *always* agree with the naive baseline either way.
 """
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveIndex
 from repro.core.config import EngineConfig
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.colored_graph import ColoredGraph
 from repro.logic.syntax import (
     And,
@@ -99,7 +99,7 @@ def test_random_guarded_formulas(g, phi, probe_seed):
     from repro.logic.transform import free_variables
 
     order = tuple(sorted(free_variables(phi), key=lambda v: v.name))
-    index = build_index(g, phi, free_order=order, config=TINY)
+    index = open_index(g, phi, free_order=order, config=TINY)
     naive = NaiveIndex(g, phi, order)
     assert list(index.enumerate()) == naive.solutions
     rng = random.Random(probe_seed)

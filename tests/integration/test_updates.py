@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveIndex
 from repro.core.config import EngineConfig
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.colored_graph import ColoredGraph
 from repro.logic.parser import parse_formula
 
@@ -96,9 +96,9 @@ def _apply(index, steps):
 @settings(max_examples=30, deadline=None)
 def test_repaired_index_matches_rebuild(g, text, steps, probe_seed):
     phi = parse_formula(text)
-    index = build_index(g, phi, config=TINY)
+    index = open_index(g, phi, config=TINY)
     updated = _apply(index, steps)
-    rebuilt = build_index(updated.graph, phi, config=TINY)
+    rebuilt = open_index(updated.graph, phi, config=TINY)
 
     assert updated.registers() == rebuilt.registers()
     assert list(updated.enumerate()) == list(rebuilt.enumerate())
@@ -117,7 +117,7 @@ def test_repaired_index_matches_rebuild(g, text, steps, probe_seed):
 @settings(max_examples=20, deadline=None)
 def test_updates_are_persistent_and_versioned(g, text):
     """Old generations never change; versions count updates monotonically."""
-    index = build_index(g, text, config=TINY)
+    index = open_index(g, text, config=TINY)
     before = list(index.enumerate())
     reds_before = g.color("Red")
     fingerprint = index.fingerprint

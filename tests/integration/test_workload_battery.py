@@ -13,7 +13,7 @@ import pytest
 
 from repro.baselines.naive import NaiveIndex
 from repro.core.config import EngineConfig
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.core.next_solution import RelaxedPrefixIndex
 from repro.graphs.generators import (
     caterpillar,
@@ -46,7 +46,7 @@ WORKLOADS = indexable(arity=2) + [by_name("path-3"), by_name("far-witness-3")]
 def test_workloads_on_all_families(family, workload):
     g = FAMILY_SAMPLES[family]()
     phi = parse_formula(workload.text)
-    index = build_index(g, phi, config=TINY)
+    index = open_index(g, phi, config=TINY)
     assert index.method == "indexed", (family, workload.name)
     if workload.name == "far-witness-3":
         assert isinstance(index._impl._prefix, RelaxedPrefixIndex)

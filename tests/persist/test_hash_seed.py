@@ -29,7 +29,7 @@ SRC = str(Path(repro.__file__).resolve().parent.parent)
 COMMON = """
 import json, random, sys
 from repro.core.config import EngineConfig
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.core.next_solution import NextSolutionIndex, RelaxedPrefixIndex
 from repro.graphs.generators import grid
 from repro.persist import index_fingerprint, load_index, save_index
@@ -68,7 +68,7 @@ def column_memos(index):
 """
 
 SAVE = """
-index = build_index(grid(10, 10, seed=4), QUERY, config=CONFIG)
+index = open_index(grid(10, 10, seed=4), QUERY, config=CONFIG)
 before = answers(index)
 path = sys.argv[1]
 save_index(index, path, index_fingerprint(index.graph, QUERY, config=CONFIG))

@@ -16,7 +16,7 @@ import logging
 import pytest
 
 from repro.core.config import EngineConfig
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import grid, random_planar_like_graph, random_tree
 from repro.metrics.runtime import collect
 from repro.persist import (
@@ -58,7 +58,7 @@ def _probes(graph, arity):
 @pytest.mark.parametrize("query", QUERIES)
 def test_roundtrip_is_observationally_identical(tmp_path, family, query):
     graph = GRAPHS[family]()
-    built = build_index(graph, query)
+    built = open_index(graph, query)
     fingerprint = index_fingerprint(graph, query)
     path = tmp_path / "snap.rpx"
     save_index(built, path, fingerprint)
@@ -72,7 +72,7 @@ def test_roundtrip_is_observationally_identical(tmp_path, family, query):
 
 def test_roundtrip_preserves_naive_fallback(tmp_path):
     graph = random_tree(30, seed=2)
-    built = build_index(graph, "exists z. Blue(z) & dist(z, x) > 2")
+    built = open_index(graph, "exists z. Blue(z) & dist(z, x) > 2")
     assert built.method == "naive"
     path = tmp_path / "naive.rpx"
     save_index(built, path, index_fingerprint(graph, built.phi))
@@ -84,7 +84,7 @@ def test_roundtrip_preserves_naive_fallback(tmp_path):
 
 def test_header_is_inspectable(tmp_path):
     graph = grid(6, 6, seed=1)
-    built = build_index(graph, "E(x, y)")
+    built = open_index(graph, "E(x, y)")
     path = tmp_path / "snap.rpx"
     written = save_index(built, path, index_fingerprint(graph, "E(x, y)"))
     header = read_header(path)
@@ -98,7 +98,7 @@ def test_header_is_inspectable(tmp_path):
 def test_truncated_payload_is_rejected(tmp_path):
     graph = random_tree(25, seed=3)
     path = tmp_path / "snap.rpx"
-    save_index(build_index(graph, "E(x, y)"), path, "fp")
+    save_index(open_index(graph, "E(x, y)"), path, "fp")
     path.write_bytes(path.read_bytes()[:-7])
     with pytest.raises(SnapshotCorrupted, match="checksum"):
         load_index(path)
@@ -132,7 +132,7 @@ def test_fingerprint_mismatch_is_stale(tmp_path):
     graph = random_tree(25, seed=3)
     other = random_tree(25, seed=4)
     path = tmp_path / "snap.rpx"
-    save_index(build_index(graph, "E(x, y)"), path, index_fingerprint(graph, "E(x, y)"))
+    save_index(open_index(graph, "E(x, y)"), path, index_fingerprint(graph, "E(x, y)"))
     with pytest.raises(SnapshotStale):
         load_index(path, expected_fingerprint=index_fingerprint(other, "E(x, y)"))
 
@@ -203,11 +203,12 @@ def test_fingerprint_sensitivity():
 
 
 def test_snapshot_whose_config_carries_workers_loads_as_hit(tmp_path):
-    """Snapshots written while ``EngineConfig`` had a ``workers`` field load.
+    """Snapshots written while ``EngineConfig`` had a ``workers`` or a
+    ``precompute_far`` field load.
 
-    Their pickled config carries ``workers`` in its state.  Rewriting a
-    snapshot's payload that way must still load as a ``hit`` under the
-    unchanged fingerprint, and answer like a fresh build.
+    Their pickled config carries the removed field in its state.
+    Rewriting a snapshot's payload that way must still load as a ``hit``
+    under the unchanged fingerprint, and answer like a fresh build.
     """
     import copyreg
     import hashlib
@@ -217,20 +218,20 @@ def test_snapshot_whose_config_carries_workers_loads_as_hit(tmp_path):
     class WorkersConfigPickler(pickle.Pickler):
         def reducer_override(self, obj):
             if type(obj) is EngineConfig:
-                state = {**vars(obj), "workers": 1}
+                state = {**vars(obj), "workers": 1, "precompute_far": True}
                 return copyreg.__newobj__, (EngineConfig,), state
             return NotImplemented
 
     graph = grid(8, 8, seed=11)
     query = "dist(x, y) > 2 & Blue(y)"
-    fresh = build_index(graph, query)
+    fresh = open_index(graph, query)
     fingerprint = index_fingerprint(graph, query)
     path = cache_path(tmp_path, fingerprint)
     save_index(fresh, path, fingerprint)
     buffer = io.BytesIO()
     WorkersConfigPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(fresh)
     payload = buffer.getvalue()
-    assert b"workers" in payload
+    assert b"workers" in payload and b"precompute_far" in payload
     header = read_header(path)
     header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
     header["payload_bytes"] = len(payload)

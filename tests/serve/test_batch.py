@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import grid
 from repro.serve.client import ServiceClient, ServiceClientError, inline_spec
 from repro.serve.http import create_server
@@ -16,7 +16,7 @@ from repro.serve.service import BadRequest, QueryService
 
 QUERY = "E(x, y)"
 GRAPH = grid(6, 6, seed=2)
-ORACLE = build_index(GRAPH, QUERY)
+ORACLE = open_index(GRAPH, QUERY)
 
 
 @pytest.fixture(scope="module")

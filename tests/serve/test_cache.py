@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import random_tree
 from repro.serve.cache import BuildWaitTimeout, IndexCache, TooManyBuilds
 
@@ -26,14 +26,14 @@ class CountingBuild:
         self.error = error
         self._lock = threading.Lock()
 
-    def __call__(self, graph, query, free_order=None, method="auto", config=None):
+    def __call__(self, graph, query, *, free_order=None, method="auto", config=None):
         with self._lock:
             self.calls += 1
         if self.gate is not None:
             assert self.gate.wait(10.0)
         if self.error is not None:
             raise self.error
-        return build_index(graph, query, free_order, method=method)
+        return open_index(graph, query, free_order=free_order, method=method)
 
 
 def test_miss_then_hit(graph):

@@ -12,7 +12,7 @@ from urllib.request import Request, urlopen
 import pytest
 
 from repro import metrics
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import random_tree
 from repro.serve.client import ServiceClient, ServiceClientError, inline_spec
 from repro.serve.http import create_server
@@ -20,7 +20,7 @@ from repro.serve.service import QueryService
 
 QUERY = "E(x, y)"
 GRAPH = random_tree(40, seed=3)
-ORACLE = build_index(GRAPH, QUERY)
+ORACLE = open_index(GRAPH, QUERY)
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +240,7 @@ def test_connection_refused_is_client_error():
 def test_eight_concurrent_clients_agree_with_oracle(server_url):
     """The acceptance-criteria smoke: 8 clients, one shared index, no lies."""
     query = "exists z. E(x, z) & E(z, y)"  # cold key for this test
-    oracle = build_index(GRAPH, query)
+    oracle = open_index(GRAPH, query)
     solutions = list(oracle.enumerate())
     before = ServiceClient(server_url).stats()["cache"]["builds"]
     barrier = threading.Barrier(8)

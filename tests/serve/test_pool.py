@@ -11,7 +11,7 @@ import urllib.request
 
 import pytest
 
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import FAMILIES
 from repro.persist import cache_path, index_fingerprint, save_index
 from repro.serve.client import ServiceClient, family_spec
@@ -93,7 +93,7 @@ def pool():
 
     with tempfile.TemporaryDirectory(prefix="repro-pool-test-") as tmp:
         graph = FAMILIES["grid"](N, seed=SEED)
-        index = build_index(graph, QUERY)
+        index = open_index(graph, QUERY)
         fingerprint = index_fingerprint(graph, QUERY)
         save_index(index, cache_path(tmp, fingerprint), fingerprint)
 
@@ -122,7 +122,7 @@ ORACLE = None
 def _oracle():
     global ORACLE
     if ORACLE is None:
-        ORACLE = build_index(FAMILIES["grid"](N, seed=SEED), QUERY)
+        ORACLE = open_index(FAMILIES["grid"](N, seed=SEED), QUERY)
     return ORACLE
 
 

@@ -30,7 +30,7 @@ from http.server import ThreadingHTTPServer
 
 import pytest
 
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import FAMILIES
 from repro.serve.client import ServiceClient, family_spec
 from repro.serve.pool import PoolServer, RouterHandler, _WorkerLink
@@ -275,7 +275,7 @@ def test_concurrent_relays_never_cross_replies():
     cores) each check every answer against an in-process index, with the
     interpreter switching threads as often as it can."""
     spec = family_spec("grid", 64, seed=1)
-    oracle = build_index(FAMILIES["grid"](64, seed=1), QUERY)
+    oracle = open_index(FAMILIES["grid"](64, seed=1), QUERY)
     pool = PoolServer(QueryService(), port=0, workers=1, preload=False)
     pool.start()
     thread = threading.Thread(target=pool.serve_forever, daemon=True)

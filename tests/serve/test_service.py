@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import random_tree
 from repro.graphs.io import dumps_edge_list, write_edge_list, write_json
 from repro.serve.service import BadRequest, QueryService
@@ -19,7 +19,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def oracle(graph):
-    return build_index(graph, QUERY)
+    return open_index(graph, QUERY)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import random_tree
 from repro.graphs.io import dumps_edge_list
 from repro.serve.service import BadRequest, QueryService, StaleCursor
@@ -63,7 +63,7 @@ def test_updated_index_matches_rebuild(service, spec, graph, non_edge):
     u, v = non_edge
     service.handle_update({**spec, "op": "insert", "edge": [u, v]})
     shadow = graph.with_edge(u, v)
-    oracle = build_index(shadow, QUERY)
+    oracle = open_index(shadow, QUERY)
     everything, cursor = [], None
     while True:
         payload = dict(spec)

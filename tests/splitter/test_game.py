@@ -4,7 +4,7 @@ import pytest
 
 from repro.graphs.colored_graph import ColoredGraph
 from repro.graphs.generators import grid, path, random_tree, star, subdivided_clique
-from repro.splitter.game import SplitterGame, play_game, rounds_to_win, splitter_move
+from repro.splitter.game import SplitterGame, play_game, rounds_to_win
 from repro.splitter.strategies import GreedySeparatorStrategy
 
 
@@ -84,7 +84,7 @@ def test_subdivided_clique_rounds_grow_at_radius_4():
 def test_splitter_move_stays_in_ball():
     g = grid(6, 6)
     bag = sorted(range(12))
-    s = splitter_move(g, bag, 0, 2, GreedySeparatorStrategy())
+    s = GreedySeparatorStrategy().choose(g, bag, bag, 0, 2)
     assert s in bag
 
 

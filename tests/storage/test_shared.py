@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.graphs.generators import grid
 from repro.storage.registers import RegisterFile
 from repro.storage.shared import (
@@ -29,7 +29,7 @@ QUERY = "dist(x, y) > 2 & Blue(y)"
 
 @pytest.fixture
 def arena_index():
-    return build_index(grid(9, 9, seed=4), QUERY)
+    return open_index(grid(9, 9, seed=4), QUERY)
 
 
 def test_share_preserves_answers_and_invariants(arena_index):
@@ -62,7 +62,7 @@ def test_shared_buffers_are_readonly(arena_index):
 
 
 def test_collect_arenas_dedupes():
-    index = build_index(grid(6, 6, seed=4), QUERY)
+    index = open_index(grid(6, 6, seed=4), QUERY)
     files, stores = collect_arenas(index)
     assert len(files) == len({id(f) for f in files})
     assert len(stores) == len({id(s) for s in stores})

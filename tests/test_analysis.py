@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import fit_exponent, flatness, is_pseudo_linear
+from repro.analysis import fit_exponent, flatness
 
 
 def test_fit_exact_power_law():
@@ -50,9 +50,3 @@ def test_flatness():
     assert flatness([2, 4]) == 2.0
     with pytest.raises(ValueError):
         flatness([])
-
-
-def test_is_pseudo_linear():
-    xs = [512, 2048, 8192]
-    assert is_pseudo_linear(xs, [x ** 1.2 for x in xs])
-    assert not is_pseudo_linear(xs, [x ** 2 for x in xs])

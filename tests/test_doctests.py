@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import repro.api
 import repro.core.engine
 import repro.graphs.colored_graph
 import repro.logic.diagnostics
@@ -16,6 +17,7 @@ MODULES = [
     repro.logic.diagnostics,
     repro.storage.function_store,
     repro.core.engine,
+    repro.api,
 ]
 
 

@@ -152,12 +152,12 @@ def test_collect_ops_counts_contracted_calls():
 
 
 def test_hot_paths_report_metrics():
-    from repro.core.engine import build_index
+    from repro.core.engine import open_index
     from repro.graphs.generators import random_planar_like_graph
 
     g = random_planar_like_graph(64, seed=1)
     with collect(ops=False) as registry:
-        index = build_index(g, "dist(x, y) > 2 & Blue(y)")
+        index = open_index(g, "dist(x, y) > 2 & Blue(y)")
         solutions = sum(1 for _ in index.enumerate())
         page = index.enumerate_page((0, 0), 7)
         index.test((0, 1))
@@ -192,11 +192,11 @@ def test_hot_paths_report_metrics():
 
 def test_enumeration_unmetered_without_collect():
     """Outside collect() the enumeration takes the no-clock fast path."""
-    from repro.core.engine import build_index
+    from repro.core.engine import open_index
     from repro.graphs.generators import random_tree
 
     g = random_tree(48, seed=2)
-    index = build_index(g, "E(x, y)")
+    index = open_index(g, "E(x, y)")
     assert list(index.enumerate())  # no active registry, still correct
     assert active() is None
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.engine import build_index
+from repro.core.engine import open_index
 from repro.core.config import EngineConfig
 from repro.graphs.generators import random_planar_like_graph
 from repro.logic.parser import parse_formula
@@ -26,7 +26,7 @@ def test_arity_metadata_is_correct(workload):
 @pytest.mark.parametrize("workload", WORKLOADS, ids=[w.name for w in WORKLOADS])
 def test_indexable_metadata_is_correct(workload):
     g = random_planar_like_graph(30, seed=1)
-    index = build_index(g, workload.text, config=TINY)
+    index = open_index(g, workload.text, config=TINY)
     assert (index.method == "indexed") == workload.indexable
 
 
