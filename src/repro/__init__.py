@@ -24,7 +24,7 @@ reproduced claims.
 
 from repro.api import Page, QueryIndex, open_index
 from repro.core.config import EngineConfig
-from repro.core.counting import CountingIndex, count_solutions
+from repro.core.counting import CountingIndex
 from repro.db.adjacency import adjacency_graph
 from repro.db.database import Database
 from repro.db.rewrite import rewrite_query
@@ -42,7 +42,6 @@ __all__ = [
     "EngineConfig",
     "ReproError",
     "CountingIndex",
-    "count_solutions",
     "ColoredGraph",
     "parse_formula",
     "explain",

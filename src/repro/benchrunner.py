@@ -150,9 +150,10 @@ def _timed(
     """Run ``fn`` ``repeats`` times; (stats over wall clock, last result).
 
     ``warmup=True`` runs one untimed round first.  Repeated query batches
-    need this: the first batch against a fresh index triggers the
-    amortized-O(1) lazy builds (membership stores, far-structure caches),
-    whose one-time cost would otherwise masquerade as per-query growth.
+    need this: the first batch against a fresh index fills the bag-local
+    column and test memos at arity >= 3 and warms the interpreter's
+    caches, a one-time cost that would otherwise masquerade as per-query
+    growth.
     """
     if warmup:
         fn()
@@ -1323,7 +1324,7 @@ class BenchSuite:
                     break
             return taken
 
-        one_page()  # warm the lazy structures outside both arms
+        one_page()  # warm the interpreter's caches outside both arms
         # calibrate the round length to span several sampler ticks at
         # DEFAULT_HZ — a round shorter than one tick would "measure"
         # zero-sample overhead

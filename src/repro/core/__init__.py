@@ -17,7 +17,7 @@ Layers, bottom to top:
 """
 
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
-from repro.core.counting import CountingIndex, count_solutions
+from repro.core.counting import CountingIndex
 from repro.core.distance_index import DistanceIndex
 from repro.core.engine import QueryIndex, open_index
 from repro.core.enumeration import enumerate_solutions, enumerate_with_delays
@@ -31,7 +31,6 @@ __all__ = [
     "DEFAULT_CONFIG",
     "EngineConfig",
     "CountingIndex",
-    "count_solutions",
     "DistanceIndex",
     "QueryIndex",
     "open_index",

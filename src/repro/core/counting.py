@@ -38,9 +38,6 @@ from typing import TYPE_CHECKING
 
 from repro.baselines.naive import NaiveIndex
 from repro.contracts import amortized
-from repro.core.config import DEFAULT_CONFIG, EngineConfig
-from repro.graphs.colored_graph import ColoredGraph
-from repro.logic.syntax import Formula, Var
 
 if TYPE_CHECKING:
     from repro.core.engine import QueryIndex
@@ -105,13 +102,10 @@ class CountingIndex:
     def _count_close(self, a: int) -> int:
         last = self._last
         total: set[int] = set()
-        for entry in last.plan_entries():
-            if entry.j_star is None:  # k=2: Case II is the close type
+        solver, to_new, to_old = last.solvers[last.cover.bag_of(a)]
+        for entry in last.live_plan.get(0, ()):  # k=2: the prefix has one type
+            if entry.j_star is None:  # Case II is the close type
                 continue
-            if not last._sentence_true(entry.sentence):
-                continue
-            bag_id = last.cover.bag_of(a)
-            solver, to_new, to_old = last._solver(bag_id)
             query, prefix_vars = entry.queries[0]
             column = solver.column(
                 query, prefix_vars, (to_new[a],), last.free_order[-1]
@@ -125,10 +119,8 @@ class CountingIndex:
     def _live_far_alternatives(self, a: int):
         last = self._last
         live = []
-        for entry_id, entry in enumerate(last.plan_entries()):
+        for entry_id, entry in enumerate(last.live_plan.get(0, ())):
             if entry.j_star is not None:
-                continue
-            if not last._sentence_true(entry.sentence):
                 continue
             if not last._test_components(entry, (a,)):
                 continue
@@ -141,7 +133,7 @@ class CountingIndex:
             union: set[int] = set()
             last = self._last
             for _, entry in live:
-                targets, _ = last._far_structures(entry.far_psi)
+                targets, _ = last.far_structures[entry.far_psi]
                 union.update(targets)
             cached = sorted(union)
             self._union_l_cache[key] = cached
@@ -167,7 +159,7 @@ class CountingIndex:
         # b outside the kernel of X(a): guaranteed far (the Case I argument)
         outside = len(union_l) - self._kernel_intersection(key, union_l, bag_id)
         # b inside the kernel: search the bag with the far constraints
-        solver, to_new, to_old = last._solver(bag_id)
+        solver, to_new, to_old = last.solvers[bag_id]
         in_kernel: set[int] = set()
         for _, entry in live:
             query, prefix_vars = entry.queries[1]  # a is the one stranger
@@ -177,14 +169,3 @@ class CountingIndex:
             in_kernel.update(to_old[b] for b in column)
         return outside + len(in_kernel)
 
-
-def count_solutions(
-    graph: ColoredGraph,
-    phi: Formula,
-    free_order: tuple[Var, ...],
-    config: EngineConfig = DEFAULT_CONFIG,
-) -> int:
-    """One-shot counting: build the index, count, discard it."""
-    from repro.core.engine import open_index
-
-    return open_index(graph, phi, free_order=free_order, config=config).count()

@@ -46,8 +46,6 @@ class DistanceIndex:
         The colored graph (vertex ids ``0..n-1``).
     radius:
         The distance bound ``r``.
-    eps:
-        Cover/storage exponent.
     naive_threshold:
         Graphs at most this large are solved naively (Step 1).
     strategy:
@@ -58,7 +56,6 @@ class DistanceIndex:
         self,
         graph: ColoredGraph,
         radius: int,
-        eps: float = 0.5,
         naive_threshold: int = DEFAULT_NAIVE_THRESHOLD,
         strategy: SplitterStrategy | None = None,
         max_depth: int = DEFAULT_MAX_DEPTH,
@@ -68,7 +65,6 @@ class DistanceIndex:
             raise ValueError(f"radius must be non-negative, got {radius}")
         self.graph = graph
         self.radius = radius
-        self.eps = eps
         self.naive_threshold = max(2, naive_threshold)
         self.max_depth = max_depth
         self._depth = _depth
@@ -137,7 +133,6 @@ class DistanceIndex:
             child = DistanceIndex(
                 sub,
                 r,
-                self.eps,
                 self.naive_threshold,
                 self._strategy,
                 self.max_depth,

@@ -69,14 +69,17 @@ class QueryIndex:
     This is not prose: the class is ``@frozen_after_build`` and every
     query entry point is ``@read_only``, so ``repro lint`` statically
     rejects any write to reachable index state on the read path (rules
-    CCY101-CCY103; see ``docs/contracts.md``).  The only mutations left
-    are declared memo cells, filled under their store lock with
-    ``setdefault`` so racing readers at worst duplicate work, never
-    observe a wrong or partially-built value — exercised by
-    ``tests/core/test_concurrent_readers.py`` and enforced at runtime
-    under ``repro serve --paranoid``.  Each ``enumerate`` iterator
-    carries its own cursor state, so concurrent enumerations do not
-    interfere.
+    CCY101-CCY103; see ``docs/contracts.md``).  Every bag solver,
+    sentence verdict and Case-I structure exists once the build returns.
+    The only mutations left are the declared memo cells inside a bag
+    (:class:`~repro.core.bag_solver.BagSolver` and its evaluator, which
+    fill per-prefix columns and per-tuple tests at arity >= 3), filled
+    under their store lock with ``setdefault`` so racing readers at
+    worst duplicate work, never observe a wrong or partially-built
+    value — exercised by ``tests/core/test_concurrent_readers.py`` and
+    enforced at runtime under ``repro serve --paranoid``.  Each
+    ``enumerate`` iterator carries its own cursor state, so concurrent
+    enumerations do not interfere.
     """
 
     graph: ColoredGraph
@@ -85,7 +88,7 @@ class QueryIndex:
     method: str
     preprocessing_seconds: float
     _impl: object
-    _static_fingerprint: str | None = None
+    _static_fingerprint: str
     _version: int = 0
 
     @property
@@ -109,16 +112,9 @@ class QueryIndex:
         method, config) — constant across the whole update lineage.
 
         :func:`open_index` stamps it from the exact request arguments so
-        it equals the serve cache's key; indexes constructed by other
-        means compute a best-effort equivalent lazily.
+        it equals the serve cache's key.
         """
-        if self._static_fingerprint is not None:
-            return self._static_fingerprint
-        from repro.persist.fingerprint import index_fingerprint
-
-        return index_fingerprint(
-            self.graph, self.phi, free_order=self.free_order, method=self.method
-        )
+        return self._static_fingerprint
 
     @property
     @read_only
@@ -259,7 +255,7 @@ class QueryIndex:
         node = self._impl
         while getattr(node, "last", None) is not None:
             last = node.last
-            modes = [solver.mode for solver, _, _ in last._solvers.values()]
+            modes = [solver.mode for solver, _, _ in last.solvers]
             levels.append(
                 {
                     "arity": node.k,
@@ -269,9 +265,9 @@ class QueryIndex:
                     "max_bag_size": max(
                         (len(bag) for bag in last.cover.bags), default=0
                     ),
-                    "bag_solvers_built": len(last._solvers),
+                    "bag_solvers_built": len(last.solvers),
                     "bag_solver_modes": sorted(set(modes)),
-                    "far_structures": len(last._far_structures_cache),
+                    "far_structures": len(last.far_structures),
                 }
             )
             node = getattr(node, "_prefix", None)
@@ -470,9 +466,7 @@ def open_index(
         if sp is not None:
             sp.attributes["chosen"] = chosen
     elapsed = time.perf_counter() - start
-    return QueryIndex(
-        graph, phi, order, chosen, elapsed, impl, _static_fingerprint=static
-    )
+    return QueryIndex(graph, phi, order, chosen, elapsed, impl, static)
 
 
 def _resolve_order(

@@ -10,7 +10,7 @@ Preprocessing (Section 5.2.1's Steps, adapted per DESIGN.md):
   gives constant-time distance-type tests for prefixes;
 * Step 3 — a ``(kr, 2kr)``-neighborhood cover with per-bag ``r``-kernels
   (stored as a ``@K`` color on each bag's subgraph);
-* Steps 8-11 — one :class:`BagSolver` per bag (lazy), which internally
+* Steps 8-11 — one :class:`BagSolver` per bag, which internally
   performs the splitter-removal recursion;
 * Steps 12-13 — for every alternative whose last-variable component is a
   singleton: the unary solution list ``L`` (bag-local evaluation per
@@ -22,12 +22,19 @@ distance type (a :func:`~repro.core.distance_types.type_mask` bitmask),
 one :class:`PlanEntry` per ``(tau, alternative)`` it can extend to, with
 the components to test, the case, and the bag query for every stranger
 count.  The repaired index shares the plan as it shares the
-decomposition.
+decomposition.  Each distinct global sentence is model-checked once, and
+the *live plan* keeps only the entries whose sentence holds.
+
+Every structure this level reads while answering exists when
+preprocessing ends: no bag solver is built and no sentence is checked on
+the answer path (a repair builds the damaged bags' solvers and re-checks
+the sentences before the new index answers).  Only inside a bag do
+memos still fill on first use: the per-prefix columns and per-tuple
+tests of :class:`BagSolver` and its evaluator, at arity >= 3.
 
 Answering (Section 5.2.2): mask the prefix with ``k'(k'-1)/2`` distance
-tests and walk that mask's entries; for each: check the global sentence,
-test the components not containing ``x_k`` inside their canonical bags,
-then
+tests and walk that mask's live entries; for each: test the components
+not containing ``x_k`` inside their canonical bags, then
 
 * **Case II** (``x_k`` close to some prefix position ``j*``): search the
   kernel of ``X(a_{j*})`` with the bag query
@@ -42,17 +49,11 @@ The final answer is the minimum over all candidates, as in the paper.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.contracts import (
-    amortized,
-    constant_time,
-    frozen_after_build,
-    pseudo_linear,
-    read_only,
-)
+from repro.contracts import constant_time, frozen_after_build, pseudo_linear, read_only
 from repro.core.bag_solver import BagSolver
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.distance_index import DistanceIndex
@@ -183,13 +184,31 @@ def resolve_plan(decomp: Decomposition) -> dict[int, tuple[PlanEntry, ...]]:
     return {mask: tuple(entries) for mask, entries in plan.items()}
 
 
-@frozen_after_build(cells={"_solvers": "_memo_lock", "_sentence_cache": "_memo_lock", "_far_structures_cache": "_memo_lock"})
+@pseudo_linear(note="preprocessing: one model check per distinct plan sentence")
+def live_plan(
+    graph: ColoredGraph, plan: dict[int, tuple[PlanEntry, ...]]
+) -> dict[int, tuple[PlanEntry, ...]]:
+    """The answer plan's entries whose global sentence holds on ``graph``.
+
+    Sentences are the only graph state a plan entry depends on, so the
+    answering phase reads this restriction and never model-checks.
+    """
+    holds: dict[Formula, bool] = {}
+    for entries in plan.values():
+        for entry in entries:
+            if entry.sentence not in holds:
+                holds[entry.sentence] = isinstance(entry.sentence, Top) or model_check(
+                    graph, entry.sentence
+                )
+    return {
+        mask: tuple(entry for entry in entries if holds[entry.sentence])
+        for mask, entries in plan.items()
+    }
+
+
+@frozen_after_build
 class LastCoordinateIndex:
     """Lemma 5.2 for a fixed query; see the module docstring."""
-
-    #: Shared store lock for the memo cells declared in
-    #: ``@frozen_after_build``; class-level so instances stay picklable.
-    _memo_lock = threading.Lock()
 
     @pseudo_linear(note="Section 5.2.1 preprocessing, Steps 2-13")
     def __init__(
@@ -214,7 +233,6 @@ class LastCoordinateIndex:
             self.dist = DistanceIndex(
                 graph,
                 self.r,
-                eps=config.eps,
                 naive_threshold=config.dist_naive_threshold,
                 max_depth=config.dist_max_depth,
             )
@@ -224,16 +242,23 @@ class LastCoordinateIndex:
             self.kernels = [
                 kernel_of_bag(graph, bag, self.r) for bag in self.cover.bags
             ]
-        # Step 7 and the candidate bookkeeping, resolved per prefix type
+        # Steps 8-11: one solver per bag, each with its relabeling both ways
+        self.solvers: list[tuple[BagSolver, dict[int, int], list[int]]] = [
+            self._build_solver(bag_id) for bag_id in range(self.cover.num_bags)
+        ]
+        # Step 7 and the candidate bookkeeping, resolved per prefix type;
+        # the answering phase reads only the entries whose sentence holds
         self._plan = resolve_plan(self.decomp)
-        self._solvers: dict[int, tuple[BagSolver, dict[int, int], list[int]]] = {}
-        self._sentence_cache: dict[Formula, bool] = {}
+        self.live_plan = live_plan(graph, self._plan)
         # Steps 12-13: Case-I structures per distinct singleton-local psi
-        self._far_structures_cache: dict[Formula, tuple[list[int], SkipPointers]] = {}
+        self.far_structures: dict[Formula, tuple[list[int], SkipPointers]] = {}
         with _trace_span("last.far_structures"):
             for entry in self.plan_entries():
-                if entry.far_psi is not None:
-                    self._far_structures(entry.far_psi)
+                psi = entry.far_psi
+                if psi is not None and psi not in self.far_structures:
+                    self.far_structures[psi] = self._build_far(
+                        psi, range(self.cover.num_bags)
+                    )
 
     @read_only
     def plan_entries(self) -> list[PlanEntry]:
@@ -241,18 +266,8 @@ class LastCoordinateIndex:
         return [entry for entries in self._plan.values() for entry in entries]
 
     # ------------------------------------------------------------------
-    # lazy per-bag machinery
+    # per-bag machinery
     # ------------------------------------------------------------------
-    @amortized("O(1)", note="lazy per-bag build; cached thereafter (Steps 8-11)")
-    @read_only
-    def _solver(self, bag_id: int) -> tuple[BagSolver, dict[int, int], list[int]]:
-        entry = self._solvers.get(bag_id)
-        if entry is None:
-            built = self._build_solver(bag_id)
-            with self._memo_lock:
-                entry = self._solvers.setdefault(bag_id, built)
-        return entry
-
     @pseudo_linear(note="Steps 8-11 for one bag")
     @read_only
     def _build_solver(self, bag_id: int) -> tuple[BagSolver, dict[int, int], list[int]]:
@@ -270,49 +285,36 @@ class LastCoordinateIndex:
             )
             return (solver, to_new, original)
 
-    @amortized("O(1)", note="one model check per distinct sentence, then cached")
+    @pseudo_linear(note="Steps 12-13 for one psi: a column per bag, then skips")
     @read_only
-    def _sentence_true(self, sentence: Formula) -> bool:
-        if isinstance(sentence, Top):
-            return True
-        cached = self._sentence_cache.get(sentence)
-        if cached is None:
-            fresh = model_check(self.graph, sentence, eps=self.config.eps)
-            with self._memo_lock:
-                cached = self._sentence_cache.setdefault(sentence, fresh)
-        return cached
-
-    @amortized("O(1)", note="Steps 12-13 built once per psi, at preprocessing")
-    @read_only
-    def _far_structures(self, psi: Formula) -> tuple[list[int], SkipPointers]:
+    def _build_far(
+        self, psi: Formula, bag_ids: Iterable[int], kept: Iterable[int] = ()
+    ) -> tuple[list[int], SkipPointers]:
         """Step 12 (the list ``L``) and Step 13 (skip pointers) for one
-        singleton local formula ``psi(x_k)``."""
-        cached = self._far_structures_cache.get(psi)
-        if cached is None:
+        singleton local formula ``psi(x_k)``: the targets assigned to
+        ``bag_ids``, plus ``kept`` (a repair's undamaged targets)."""
+        if isinstance(psi, Top):
+            targets = list(self.graph.vertices())
+        else:
+            # Step 12: per-bag unary solution lists L_X, one column per
+            # bag (not one evaluation per vertex), then their union
+            targets = list(kept)
             last_var = self.free_order[-1]
-            if isinstance(psi, Top):
-                targets = list(self.graph.vertices())
-            else:
-                # Step 12: per-bag unary solution lists L_X, one column per
-                # bag (not one evaluation per vertex), then their union
-                targets = []
-                for bag_id, assigned in enumerate(self.cover.assigned):
-                    if not assigned:
-                        continue
-                    solver, to_new, to_old = self._solver(bag_id)
-                    members = set(solver.column(psi, (), (), last_var))
-                    targets.extend(v for v in assigned if to_new[v] in members)
-                targets.sort()
-            skips = SkipPointers(
-                self.graph.n,
-                targets,
-                self.kernels,
-                k=max(self.k - 1, 1),
-                eps=self.config.eps,
-            )
-            with self._memo_lock:
-                cached = self._far_structures_cache.setdefault(psi, (targets, skips))
-        return cached
+            for bag_id in bag_ids:
+                solver, to_new, _ = self.solvers[bag_id]
+                members = set(solver.column(psi, (), (), last_var))
+                targets.extend(
+                    v for v in self.cover.assigned[bag_id] if to_new[v] in members
+                )
+            targets.sort()
+        skips = SkipPointers(
+            self.graph.n,
+            targets,
+            self.kernels,
+            k=max(self.k - 1, 1),
+            eps=self.config.eps,
+        )
+        return (targets, skips)
 
     # ------------------------------------------------------------------
     # answering phase (Section 5.2.2)
@@ -329,10 +331,7 @@ class LastCoordinateIndex:
             return None
         lower = max(lower, 0)
         best: int | None = None
-        for entry in self._plan.get(type_mask(prefix, self.dist.test), ()):
-            # contract: amortized — cached after the first check of this sentence
-            if not self._sentence_true(entry.sentence):
-                continue
+        for entry in self.live_plan.get(type_mask(prefix, self.dist.test), ()):
             # items (b)/(d): components not containing x_k test directly
             if entry.tests and not self._test_components(entry, prefix):
                 continue
@@ -357,8 +356,7 @@ class LastCoordinateIndex:
     @read_only
     def _test_components(self, entry: PlanEntry, prefix: tuple[int, ...]) -> bool:
         for anchor, positions, psi, variables in entry.tests:
-            # contract: amortized — lazy solver build, cached per bag
-            solver, to_new, _ = self._solver(self.cover.bag_of(prefix[anchor]))
+            solver, to_new, _ = self.solvers[self.cover.bag_of(prefix[anchor])]
             try:
                 values = tuple([to_new[prefix[i]] for i in positions])
             except KeyError:
@@ -377,8 +375,7 @@ class LastCoordinateIndex:
     ) -> int | None:
         """Case II: ``x_k`` close to the prefix part of its component."""
         bag_id = self.cover.bag_of(prefix[entry.j_star])
-        # contract: amortized — lazy solver build, cached per bag
-        solver, to_new, to_old = self._solver(bag_id)
+        solver, to_new, to_old = self.solvers[bag_id]
         strangers = [
             prefix[i] for i in entry.outside if self.cover.contains(bag_id, prefix[i])
         ]
@@ -402,14 +399,12 @@ class LastCoordinateIndex:
         self, entry: PlanEntry, prefix: tuple[int, ...], lower: int
     ) -> int | None:
         """Case I: ``x_k`` far from every prefix position."""
-        # contract: amortized — Steps 12-13 built per plan psi at preprocessing
-        _, skips = self._far_structures(entry.far_psi)
+        _, skips = self.far_structures[entry.far_psi]
         bag_ids = sorted({self.cover.bag_of(a) for a in prefix})
         last_var = self.free_order[-1]
         best: int | None = None
         for bag_id in bag_ids:
-            # contract: amortized — lazy solver build, cached per bag
-            solver, to_new, to_old = self._solver(bag_id)
+            solver, to_new, to_old = self.solvers[bag_id]
             strangers = [a for a in prefix if self.cover.contains(bag_id, a)]
             query, prefix_vars = entry.queries[len(strangers)]
             local_lower = bisect_left(to_old, lower)

@@ -43,11 +43,11 @@ from repro.logic.transform import free_variables
 _Plan = tuple[list[int], tuple[Formula, ...], tuple[int, int, frozenset[int]] | None]
 
 
-@frozen_after_build(cells={"_test_cache": "_memo_lock", "_column_cache": "_memo_lock", "_unary_cache": "_memo_lock", "_free_cache": "_memo_lock", "_plan_cache": "_memo_lock"})
+@frozen_after_build(cells={"_test_cache": "_memo_lock", "_column_cache": "_memo_lock", "_unary_cache": "_memo_lock", "_plan_cache": "_memo_lock"})
 class LocalEvaluator:
     """Naive-but-memoized FO+ evaluation on one (small) graph."""
 
-    __slots__ = ("graph", "_dist", "_test_cache", "_column_cache", "_unary_cache", "_free_cache", "_plan_cache")
+    __slots__ = ("graph", "_dist", "_test_cache", "_column_cache", "_unary_cache", "_plan_cache")
 
     #: Store lock for the memo cells; a class attribute so it coexists
     #: with ``__slots__`` and never lands in a pickle.
@@ -59,7 +59,6 @@ class LocalEvaluator:
         self._test_cache: dict[tuple, bool] = {}
         self._column_cache: dict[tuple, list[int]] = {}
         self._unary_cache: dict[tuple, list[int]] = {}
-        self._free_cache: dict[Formula, frozenset[Var]] = {}
         self._plan_cache: dict[tuple, _Plan] = {}
 
     @read_only
@@ -76,14 +75,6 @@ class LocalEvaluator:
         for name, value in state[1].items():
             setattr(self, name, value)
         self._plan_cache = {}
-
-    @read_only
-    def _free(self, phi: Formula) -> frozenset[Var]:
-        cached = self._free_cache.get(phi)
-        if cached is None:
-            with self._memo_lock:
-                cached = self._free_cache.setdefault(phi, free_variables(phi))
-        return cached
 
     @read_only
     def test(self, phi: Formula, free_order: tuple[Var, ...], values: tuple[int, ...]) -> bool:
@@ -135,8 +126,8 @@ class LocalEvaluator:
         cached = self._plan_cache.get(key)
         if cached is None:
             parts = phi.parts if isinstance(phi, And) else (phi,)
-            unary_parts = [p for p in parts if self._free(p) <= {last_var}]
-            residue = tuple(p for p in parts if not (self._free(p) <= {last_var}))
+            unary_parts = [p for p in parts if free_variables(p) <= {last_var}]
+            residue = tuple(p for p in parts if not (free_variables(p) <= {last_var}))
             base = self.unary_column(conjunction(unary_parts), last_var)
             guard = None
             if residue:

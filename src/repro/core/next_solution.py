@@ -156,7 +156,7 @@ class NextSolutionIndex:
         self.last: LastCoordinateIndex | None = None
         with _trace_span("next_solution.build", k=self.k):
             if self.k == 0:
-                self._holds = model_check(graph, phi, eps=config.eps)
+                self._holds = model_check(graph, phi)
                 return
             if self.k == 1:
                 self._unary = UnaryIndex(graph, phi, self.free_order[0], eps=config.eps)

@@ -33,18 +33,19 @@ and **color** flips (a vertex gains or loses a color):
   every touched vertex's canonical bag absorb its grown ball, a deleted
   edge leaves bags as sound supersets, so the Definition 4.3 invariant
   ``N_radius(a) ⊆ X(a)`` survives arbitrary update chains.  Both update
-  kinds then share one damaged-bag tail: solvers are recomputed for
-  damaged bags only, the Case-I target lists and skip pointers are
-  patched per cached local formula, and the k = 2 prefix register is
+  kinds then share one damaged-bag tail: solvers are rebuilt for
+  damaged bags only, the plan's sentences are re-checked, the Case-I
+  target lists and skip pointers are patched per singleton local
+  formula of the plan, and the k = 2 prefix register is
   re-derived by ``n`` O(1) probes of the repaired Lemma 5.2 oracle —
   exactly how it was first built, so repaired and rebuilt indexes are
   register-level equal (:func:`register_dump` is the differential
   oracle's view).
 
-Escalations (documented, still correct): arity-0 sentences are
-re-model-checked; unary queries without a certified locality radius are
-re-solved from scratch; a :class:`~repro.baselines.naive.NaiveIndex`
-is rebuilt on the new graph.
+Escalations (documented, still correct): sentences, at arity 0 and in
+the plan of every Lemma 5.2 level, are re-model-checked; unary queries
+without a certified locality radius are re-solved from scratch; a
+:class:`~repro.baselines.naive.NaiveIndex` is rebuilt on the new graph.
 
 **Freeze-tripwire contract.**  Repair re-enters the build phase: every
 function below that fills a frozen structure is ``@builds`` (the static
@@ -56,7 +57,6 @@ assembled — readers of the *old* generation never see a write.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 
 from repro.baselines.naive import NaiveIndex
@@ -69,17 +69,16 @@ from repro.contracts import (
     pseudo_linear,
     read_only,
 )
-from repro.core.last_coordinate import LastCoordinateIndex
+from repro.core.last_coordinate import LastCoordinateIndex, live_plan
 from repro.core.next_solution import NextSolutionIndex, PrefixScan, RelaxedPrefixIndex
 from repro.core.normal_form import locality_radius, normalize
-from repro.core.skip_pointers import SkipPointers
 from repro.core.unary import UnaryIndex, model_check, unary_solutions
 from repro.covers.kernels import kernel_of_bag
 from repro.covers.neighborhood_cover import NeighborhoodCover
 from repro.graphs.colored_graph import ColoredGraph
 from repro.graphs.neighborhoods import bounded_bfs
 from repro.logic.semantics import DistanceCache, evaluate
-from repro.logic.syntax import Exists, Top
+from repro.logic.syntax import Exists
 from repro.trace.runtime import span as _trace_span
 
 #: Delta size beyond which a :class:`PatchedUnaryIndex` collapses into a
@@ -157,7 +156,7 @@ class PatchedDistanceIndex:
         )
 
 
-@frozen_after_build(cells={"_solutions_cache": "_memo_lock"})
+@frozen_after_build
 class PatchedUnaryIndex:
     """A Theorem 5.1 (k = 1) register file repaired by a delta overlay.
 
@@ -170,10 +169,6 @@ class PatchedUnaryIndex:
     delta outgrows ``max(sqrt(n), 16)``, :func:`_patch_unary` collapses
     the overlay into a fresh store instead.
     """
-
-    #: Store lock for the lazily-merged solution list (kept class-level
-    #: so patched indexes stay picklable, like the other memo owners).
-    _memo_lock = threading.Lock()
 
     def __init__(
         self,
@@ -188,7 +183,6 @@ class PatchedUnaryIndex:
         self._added = frozenset(added)
         self._removed = frozenset(removed)
         self._added_sorted = sorted(added)
-        self._solutions_cache: list[int] | None = None
 
     @constant_time(note="two set probes + one frozen store probe")
     @read_only
@@ -221,17 +215,9 @@ class PatchedUnaryIndex:
     @property
     @read_only
     def solutions(self) -> list[int]:
-        """The effective solution list (merged lazily, then memoized)."""
-        cached = self._solutions_cache
-        if cached is None:
-            merged = sorted(
-                (set(self._base.solutions) - self._removed) | self._added
-            )
-            with self._memo_lock:
-                if self._solutions_cache is None:
-                    self._solutions_cache = merged
-                cached = self._solutions_cache
-        return cached
+        """The effective solution list, merged on each call (only the
+        differential oracle's :func:`register_dump` reads it)."""
+        return sorted((set(self._base.solutions) - self._removed) | self._added)
 
     @read_only
     def __len__(self) -> int:
@@ -288,7 +274,7 @@ def _patch_unary(
     radius = locality_radius(psi, frozenset((var,)))
     if radius is None:
         # escalation: no certified locality radius — re-solve from scratch
-        fresh = unary_solutions(new_graph, phi, var, eps=eps)
+        fresh = unary_solutions(new_graph, phi, var)
         return UnaryIndex(new_graph, phi, var, eps=eps, solutions=fresh)
     touched = _touched_ball(old_graph, new_graph, u, v, radius)
     if isinstance(old_unary, PatchedUnaryIndex):
@@ -348,48 +334,6 @@ def _patched_cover(
     return cover
 
 
-@builds
-def _repair_far(
-    index: LastCoordinateIndex,
-    psi,
-    old_targets: list[int],
-    damaged: set[int],
-) -> tuple[list[int], SkipPointers]:
-    """Patch one Case-I structure: swap the damaged bags' contributions.
-
-    The Step-12 target list is a disjoint union of per-canonical-bag
-    columns, so only the damaged bags' slices change; the Lemma 5.8
-    pointers are then rebuilt over the stable bag-id universe (no bag is
-    ever created or destroyed by a repair, so ``SkipPointers`` keys and
-    sentinel stay comparable with a from-scratch rebuild).
-    """
-    if isinstance(psi, Top):
-        targets = list(index.graph.vertices())
-    else:
-        drop: set[int] = set()
-        for bag_id in damaged:
-            drop.update(index.cover.assigned[bag_id])
-        kept = [t for t in old_targets if t not in drop]
-        fresh: list[int] = []
-        last_var = index.free_order[-1]
-        for bag_id in sorted(damaged):
-            assigned = index.cover.assigned[bag_id]
-            if not assigned:
-                continue
-            solver, to_new, _ = index._solver(bag_id)
-            members = set(solver.column(psi, (), (), last_var))
-            fresh.extend(t for t in assigned if to_new[t] in members)
-        targets = sorted(kept + fresh)
-    skips = SkipPointers(
-        index.graph.n,
-        targets,
-        index.kernels,
-        k=max(index.k - 1, 1),
-        eps=index.config.eps,
-    )
-    return (targets, skips)
-
-
 @pseudo_linear(note="ball-local bag surgery; skip pointers rebuilt per psi")
 @builds
 def _repair_last(
@@ -403,7 +347,8 @@ def _repair_last(
     """Repair one Lemma 5.2 level onto the new graph (old level untouched).
 
     The update kinds differ only in their damage; the damaged bags then
-    share one repair tail (solvers, Case-I structures, sentences).
+    share one repair tail (solvers, Case-I structures), and every
+    sentence is re-checked on the new graph.
     """
     new = object.__new__(LastCoordinateIndex)
     new.graph = new_graph
@@ -472,21 +417,26 @@ def _repair_last(
         new.kernels = kernels
 
     # solvers of undamaged bags see an unchanged induced subgraph + kernel
-    # color, so their memoized columns carry over register-identically
-    new._solvers = {
-        bag_id: entry
-        for bag_id, entry in old._solvers.items()
-        if bag_id not in damaged
-    }
-    new._sentence_cache = {}  # sentences must be re-checked on the new graph
-    new._far_structures_cache = {}
+    # color, so they and their memoized columns carry over as they are
+    new.solvers = list(old.solvers)
+    for bag_id in damaged:
+        new.solvers[bag_id] = new._build_solver(bag_id)
+    new.live_plan = live_plan(new_graph, new._plan)
     if damaged:
-        for psi, (targets, _) in old._far_structures_cache.items():
-            new._far_structures_cache[psi] = _repair_far(new, psi, targets, damaged)
+        # a Step-12 target list is a disjoint union of per-canonical-bag
+        # columns, so only the damaged bags' slices are swapped; the
+        # Lemma 5.8 pointers are rebuilt over the stable bag-id universe
+        # (no repair creates or destroys a bag, so their keys and
+        # sentinel stay comparable with a from-scratch build)
+        drop = {t for bag_id in damaged for t in new.cover.assigned[bag_id]}
+        new.far_structures = {
+            psi: new._build_far(psi, damaged, [t for t in targets if t not in drop])
+            for psi, (targets, _) in old.far_structures.items()
+        }
     else:
         # no bag was touched: target lists and kernels are unchanged, so
         # the Lemma 5.8 structures can be shared as-is
-        new._far_structures_cache = dict(old._far_structures_cache)
+        new.far_structures = old.far_structures
     return new
 
 
@@ -513,7 +463,7 @@ def _repair_next(
     new.last = None
     if node.k == 0:
         # escalation: sentences are re-model-checked (pseudo-linear)
-        new._holds = model_check(new_graph, node.phi, eps=config.eps)
+        new._holds = model_check(new_graph, node.phi)
         return new
     if node.k == 1:
         new._unary = _patch_unary(
@@ -600,11 +550,11 @@ def register_dump(index: object) -> dict:
     Two indexes over the same (graph, query, order, config) must agree on
     this dump whether they were built from scratch or repaired through
     any update sequence: the unary solution registers per level, the
-    k = 2 prefix register, and the Case-I target lists (forced for every
-    singleton-last local formula, so lazy population cannot hide a
-    diff).  Cover *geometry* (which centers won, bag shapes) is
-    deliberately excluded — it is an implementation degree of freedom
-    the Storing-Theorem registers are defined over, not one of them.
+    k = 2 prefix register, and the Case-I target lists (one per
+    singleton-last local formula of the plan).  Cover *geometry* (which
+    centers won, bag shapes) is deliberately excluded — it is an
+    implementation degree of freedom the Storing-Theorem registers are
+    defined over, not one of them.
     """
     impl = getattr(index, "_impl", index)
     out: dict = {}
@@ -625,11 +575,10 @@ def register_dump(index: object) -> dict:
             break
         last = node.last
         level["radius"] = last.r
-        far: dict[str, list[int]] = {}
-        for entry in last.plan_entries():
-            if entry.far_psi is not None:
-                targets, _ = last._far_structures(entry.far_psi)
-                far[repr(entry.far_psi)] = list(targets)
+        far = {
+            repr(psi): list(targets)
+            for psi, (targets, _) in last.far_structures.items()
+        }
         level["far_targets"] = dict(sorted(far.items()))
         prefix = node._prefix
         if node.k == 2:

@@ -35,7 +35,6 @@ def unary_solutions(
     graph: ColoredGraph,
     phi: Formula,
     var: Var,
-    eps: float = 0.5,
     bag_threshold: int | None = None,
     on_error: str = "naive",
 ) -> list[int]:
@@ -69,7 +68,7 @@ def unary_solutions(
     live = [
         alt
         for alt in alternatives
-        if model_check(graph, alt.sentence, eps=eps)
+        if model_check(graph, alt.sentence)
     ]
     if not live:
         return []
@@ -113,7 +112,7 @@ class UnaryIndex:
         if solutions is None:
             # propagate DecompositionError: the engine's method="auto" then
             # falls back to the naive baseline *visibly*
-            solutions = unary_solutions(graph, phi, var, eps=eps, on_error="raise")
+            solutions = unary_solutions(graph, phi, var, on_error="raise")
         self.solutions = solutions
         self._store: StoredFunction | None = None
         if graph.n > 0:
@@ -145,7 +144,7 @@ class UnaryIndex:
 
 
 @pseudo_linear(note="Theorem 5.3 stand-in; see docstring for the fallbacks")
-def model_check(graph: ColoredGraph, sentence: Formula, eps: float = 0.5) -> bool:
+def model_check(graph: ColoredGraph, sentence: Formula) -> bool:
     """Evaluate a sentence — the Theorem 5.3 stand-in.
 
     (r, q)-independence sentences (Section 5.1.2) are decided via the
@@ -163,21 +162,21 @@ def model_check(graph: ColoredGraph, sentence: Formula, eps: float = 0.5) -> boo
     matched = match_independence_sentence(sentence)
     if matched is not None:
         count, separation, psi, psi_var = matched
-        witnesses = unary_solutions(graph, psi, psi_var, eps=eps)
+        witnesses = unary_solutions(graph, psi, psi_var)
         return has_scattered_witnesses(graph, witnesses, count, separation)
     if isinstance(sentence, Exists):
         inner_free = free_variables(sentence.body)
         if inner_free <= {sentence.var}:
-            return bool(unary_solutions(graph, sentence.body, sentence.var, eps=eps))
+            return bool(unary_solutions(graph, sentence.body, sentence.var))
     if isinstance(sentence, Forall):
         inner_free = free_variables(sentence.body)
         if inner_free <= {sentence.var}:
             negated = Not(sentence.body)
-            return not unary_solutions(graph, negated, sentence.var, eps=eps)
+            return not unary_solutions(graph, negated, sentence.var)
     if isinstance(sentence, Not):
-        return not model_check(graph, sentence.body, eps=eps)
+        return not model_check(graph, sentence.body)
     if isinstance(sentence, And):
-        return all(model_check(graph, p, eps=eps) for p in sentence.parts)
+        return all(model_check(graph, p) for p in sentence.parts)
     if isinstance(sentence, Or):
-        return any(model_check(graph, p, eps=eps) for p in sentence.parts)
+        return any(model_check(graph, p) for p in sentence.parts)
     return evaluate(graph, sentence, {})

@@ -117,20 +117,6 @@ class ColoredGraph:
             self._adj[v].add(u)
             self._edge_count += 1
 
-    def remove_edge(self, u: int, v: int) -> None:
-        """Delete the undirected edge ``{u, v}``.
-
-        Raises :class:`ValueError` when the edge is absent — callers that
-        want idempotence should guard with :meth:`has_edge`.
-        """
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if v not in self._adj[u]:
-            raise ValueError(f"edge ({u}, {v}) not present")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        self._edge_count -= 1
-
     def with_edge(self, u: int, v: int) -> "ColoredGraph":
         """A structurally shared copy with edge ``{u, v}`` added.
 

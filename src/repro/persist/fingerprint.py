@@ -59,7 +59,14 @@ from repro.logic.syntax import Formula, Var
 #: ``config_token``, so a snapshot keyed with it is a clean miss, and a v5
 #: pickle whose config still carries it loads as one carrying ``workers``
 #: does (see v4).
-FORMAT_VERSION = 5
+#: v6: ``LastCoordinateIndex`` pickles every bag solver (``solvers``, a
+#: list indexed by bag id), the plan entries whose sentence holds
+#: (``live_plan``) and the Case-I structures (``far_structures``, a plain
+#: dict) instead of three lazily filled memo cells; ``PatchedUnaryIndex``
+#: no longer memoizes its merged solution list and ``LocalEvaluator`` has
+#: no ``_free_cache`` slot.  A v5 pickle lacks the fields a v6 index
+#: answers from.
+FORMAT_VERSION = 6
 
 
 def graph_digest(graph: ColoredGraph) -> str:

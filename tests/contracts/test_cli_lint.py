@@ -11,6 +11,7 @@ from repro.cli import main as cli_main
 
 FIXTURE = Path(__file__).parent / "fixture_violations.py"
 CCY_FIXTURE = Path(__file__).parent / "fixture_concurrency.py"
+STALE_FIXTURE = Path(__file__).parent / "fixture_stale_waiver.py"
 SRC = Path(__file__).parent.parent.parent / "src" / "repro"
 
 
@@ -53,6 +54,33 @@ def test_lint_json_has_per_rule_counts(capsys):
         assert rule in rules, rules
         assert rules[rule]["errors"] >= 1
     assert rules["CCY101"]["waived"] == 1
+
+
+def test_lint_flags_a_waiver_that_waives_nothing(capsys):
+    stale = next(
+        number
+        for number, line in enumerate(STALE_FIXTURE.read_text().splitlines(), 1)
+        if "built lazily on first use" in line
+    )
+    assert cli_main(["lint", "--format", "json", str(STALE_FIXTURE)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    errors = [f for f in payload["findings"] if f["severity"] == "error"]
+    assert [(f["rule"], f["line"]) for f in errors] == [("LNT001", stale)]
+    assert payload["rules"]["CTC001"] == {"errors": 0, "waived": 1}
+    # a waiver only the concurrency pass uses is not stale
+    cli_main(["lint", "--format", "json", str(CCY_FIXTURE)])
+    assert "LNT001" not in json.loads(capsys.readouterr().out)["rules"]
+    # and CI's contracts step fails on a stale one
+    script = SRC.parent.parent / "scripts" / "check_contracts.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--github", str(STALE_FIXTURE)],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 1
+    assert f"::error file=tests/contracts/fixture_stale_waiver.py,line={stale}," in result.stdout
+    assert "title=LNT001" in result.stdout
 
 
 def test_lint_missing_path_is_an_error(capsys):

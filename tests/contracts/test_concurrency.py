@@ -162,10 +162,25 @@ class TestEffectMetadata:
     def test_memo_cells_are_declared(self):
         from repro.core.bag_solver import BagSolver
         from repro.core.last_coordinate import LastCoordinateIndex
+        from repro.core.local_eval import LocalEvaluator
+        from repro.core.repair import PatchedUnaryIndex
 
-        spec = frozen_spec_of(LastCoordinateIndex)
-        assert ("_solvers", "_memo_lock") in spec.cells
-        assert ("_test_cache", "_memo_lock") in frozen_spec_of(BagSolver).cells
+        # above the bag everything is built at preprocessing
+        for cls in (LastCoordinateIndex, PatchedUnaryIndex):
+            assert frozen_spec_of(cls).cells == (), cls
+            assert not hasattr(cls, "_memo_lock"), cls
+        # inside a bag, the column and test memos still fill on first use
+        assert dict(frozen_spec_of(BagSolver).cells) == {
+            "_column_cache": "_memo_lock",
+            "_rewrites": "_memo_lock",
+            "_test_cache": "_memo_lock",
+        }
+        assert dict(frozen_spec_of(LocalEvaluator).cells) == {
+            "_column_cache": "_memo_lock",
+            "_plan_cache": "_memo_lock",
+            "_test_cache": "_memo_lock",
+            "_unary_cache": "_memo_lock",
+        }
 
 
 class TestRuntimeFreeze:

@@ -4,19 +4,22 @@ A prefix's (tau, alternative) candidates depend only on its distance
 type, so ``LastCoordinateIndex`` resolves them when it is built
 (:func:`~repro.core.last_coordinate.resolve_plan`).  After that, the
 answer path builds no :class:`DistanceType`, calls none of its methods,
-and neither builds nor looks up a bag query.
+and neither builds nor looks up a bag query.  Nor does it build anything
+else: every bag solver and sentence verdict exists when preprocessing
+(or a repair) ends, so no ``@pseudo_linear`` function runs while
+answering.
 """
 
 import random
 
 import pytest
 
-from repro.contracts import instrument
+from repro.contracts import instrument, registered_contracts
 from repro.core.config import EngineConfig
 from repro.core.distance_types import DistanceType, type_mask
 from repro.core.engine import open_index
 from repro.graphs.generators import grid
-from repro.workloads import by_name
+from repro.workloads import by_name, indexable
 
 #: the dense and sparse running examples, and the arity-3 chain
 WORKLOADS = ["far-blue", "two-hop", "path-3"]
@@ -87,3 +90,24 @@ def test_plan_holds_each_type_alternative_once_under_its_prefix_mask(name):
             assert len(entry.queries) == last.k
             assert (entry.j_star is None) == (entry.far_psi is not None)
         node = getattr(node, "_prefix", None)
+
+
+@pytest.mark.parametrize("name", [w.name for w in indexable()])
+def test_answer_path_builds_nothing(name):
+    preprocessing = {
+        qualname
+        for qualname, contract in registered_contracts()
+        if contract.kind == "pseudo_linear"
+    }
+    index = open_index(grid(12, 12, seed=3), by_name(name).text)
+    for current in (index, index.insert_edge(0, 13)):
+        rng = random.Random(7)
+        n, k = current.graph.n, current.arity
+        with instrument() as counts:
+            for _ in range(150):
+                current.test(tuple(rng.randrange(n) for _ in range(k)))
+                current.next_solution(tuple(rng.randrange(n) for _ in range(k)))
+            current.enumerate_page(tuple(rng.randrange(n) for _ in range(k)), limit=20)
+        assert counts["repro.core.engine.QueryIndex.test"] == 150
+        built = {q: c for q, c in counts.items() if q in preprocessing and c}
+        assert built == {}, (current.version, built)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.naive import NaiveIndex
 from repro.core.config import EngineConfig
-from repro.core.counting import CountingIndex, count_solutions
+from repro.core.counting import CountingIndex
 from repro.core.engine import open_index
 from repro.graphs.colored_graph import ColoredGraph
 from repro.graphs.generators import grid, random_planar_like_graph, random_tree
@@ -49,14 +49,14 @@ def test_per_prefix_counts():
 
 def test_unary_count():
     g = random_tree(30, seed=1)
-    count = count_solutions(g, parse_formula("Red(x)"), (x,))
+    count = open_index(g, parse_formula("Red(x)"), free_order=(x,)).count()
     assert count == len(g.color("Red"))
 
 
 def test_sentence_count():
     g = random_tree(10, seed=1)
-    assert count_solutions(g, parse_formula("exists x, y. E(x, y)"), ()) == 1
-    assert count_solutions(g, parse_formula("forall x, y. E(x, y)"), ()) == 0
+    assert open_index(g, parse_formula("exists x, y. E(x, y)")).count() == 1
+    assert open_index(g, parse_formula("forall x, y. E(x, y)")).count() == 0
 
 
 def test_arity3_falls_back_to_enumeration():
@@ -76,7 +76,10 @@ def test_count_suffixes_rejects_non_binary():
 
 def test_empty_result():
     g = ColoredGraph(6, [(0, 1)])
-    assert count_solutions(g, parse_formula("Purple(x) & E(x, y)"), (x, y), TINY) == 0
+    index = open_index(
+        g, parse_formula("Purple(x) & E(x, y)"), free_order=(x, y), config=TINY
+    )
+    assert index.count() == 0
 
 
 def test_naive_fallback_counts_its_stored_solutions():

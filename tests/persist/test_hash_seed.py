@@ -60,7 +60,7 @@ def levels(index):
 
 def column_memos(index):
     for last in levels(index):
-        for solver, _, _ in last._solvers.values():
+        for solver, _, _ in last.solvers:
             while solver._mode == "splitter":
                 yield solver._column_cache
                 solver = solver.child
