@@ -4,14 +4,15 @@ A :class:`BagSolver` owns one bag's induced subgraph and answers, for any
 FO+ query ``psi`` on the bag:
 
 * ``test(psi, vars, values)`` — does the bag satisfy ``psi(values)``?
-* ``first_at_least(psi, prefix, last_var, lower)`` — the smallest last
-  coordinate ``b >= lower`` with ``bag |= psi(prefix, b)``.
+* ``column(psi, prefix_order, prefix, last_var)`` — every last coordinate
+  ``b`` with ``bag |= psi(prefix, b)``, sorted; the Lemma 5.2 index
+  bisects it for the smallest ``b >= lower`` and streams it from there.
 
 Structure, mirroring the paper:
 
 * **small bags** (``n <= naive_threshold``) are handled by the memoized
   naive evaluator — the Step 1 cutoff.  Columns are computed once per
-  ``(psi, prefix)`` and then served by binary search, so repeated queries
+  ``(psi, prefix)`` and then served from the memo, so repeated queries
   are constant time.
 * **larger bags** pick Splitter's vertex ``s`` (Step 8), rewrite every
   incoming query through the Removal Lemma for each subset of variables
@@ -27,7 +28,7 @@ past the cap the solver is naive regardless of size, which stays exact.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, insort
+from bisect import insort
 
 from repro.contracts import amortized, frozen_after_build, pseudo_linear, read_only
 from repro.core.local_eval import LocalEvaluator
@@ -186,18 +187,3 @@ class BagSolver:
         with self._memo_lock:
             out = self._column_cache.setdefault(key, out)
         return out
-
-    @amortized("O(1)", note="binary search over the memoized column")
-    @read_only
-    def first_at_least(
-        self,
-        psi: Formula,
-        prefix_order: tuple[Var, ...],
-        prefix_values: tuple[int, ...],
-        last_var: Var,
-        lower: int,
-    ) -> int | None:
-        """Smallest ``b >= lower`` (bag ids) with ``bag |= psi(prefix, b)``."""
-        column = self.column(psi, prefix_order, prefix_values, last_var)
-        index = bisect_left(column, lower)
-        return column[index] if index < len(column) else None

@@ -12,6 +12,7 @@ the naive baseline, reporting which one it chose.  :mod:`repro.api`,
 from __future__ import annotations
 
 import time
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -211,10 +212,11 @@ class QueryIndex:
 
         First-class pagination on top of Theorem 2.3's oracle: a page is
         the first ``limit + 1`` answers of :meth:`enumerate`, so it costs
-        ``O(limit)`` oracle calls regardless of where in the result set
-        it starts, and resuming from :attr:`Page.next_cursor` (the extra
-        answer) is exactly as cheap as starting over — there is no hidden
-        re-scan.  Raises ``ValueError`` on a non-positive ``limit``.
+        ``O(limit)`` steps of the index's stream regardless of where in
+        the result set it starts, and resuming from
+        :attr:`Page.next_cursor` (the extra answer) is exactly as cheap as
+        starting over — there is no hidden re-scan.  Raises
+        ``ValueError`` on a non-positive ``limit``.
         """
         if limit < 1:
             raise ValueError(f"page limit must be >= 1, got {limit}")
@@ -239,8 +241,10 @@ class QueryIndex:
         """Observability: what the preprocessing actually built.
 
         For the indexed method: per induction level, the decomposition
-        radius, cover shape and per-bag solver modes.  For the naive
-        method: the materialized result size.
+        radius, whether a Prop 4.2 distance index was built (only at
+        arity >= 3), the cover shape, the per-bag solver modes and the
+        ``{removal depth: bags}`` histogram of the bag solvers.  For the
+        naive method: the materialized result size.
         """
         out: dict = {
             "method": self.method,
@@ -255,18 +259,20 @@ class QueryIndex:
         node = self._impl
         while getattr(node, "last", None) is not None:
             last = node.last
-            modes = [solver.mode for solver, _, _ in last.solvers]
+            modes = {solver.mode for solver, _, _ in last.solvers}
+            depths = Counter(solver.removal_depth for solver, _, _ in last.solvers)
             levels.append(
                 {
                     "arity": node.k,
                     "radius": last.r,
+                    "distance_index": last.dist is not None,
                     "cover_bags": last.cover.num_bags,
                     "cover_degree": last.cover.degree(),
                     "max_bag_size": max(
                         (len(bag) for bag in last.cover.bags), default=0
                     ),
-                    "bag_solvers_built": len(last.solvers),
-                    "bag_solver_modes": sorted(set(modes)),
+                    "bag_solver_modes": sorted(modes),
+                    "removal_depths": dict(sorted(depths.items())),
                     "far_structures": len(last.far_structures),
                 }
             )

@@ -7,7 +7,9 @@ the smallest ``b' >= b`` with ``G |= phi(ā, b')``?*
 Preprocessing (Section 5.2.1's Steps, adapted per DESIGN.md):
 
 * Step 2 — a :class:`DistanceIndex` at the decomposition radius ``r``
-  gives constant-time distance-type tests for prefixes;
+  gives constant-time distance-type tests for prefixes.  Only ``k >= 3``
+  builds one: a 1-tuple prefix has no pair to type, so at ``k = 2``
+  every prefix reads the plan's only mask, 0;
 * Step 3 — a ``(kr, 2kr)``-neighborhood cover with per-bag ``r``-kernels
   (stored as a ``@K`` color on each bag's subgraph);
 * Steps 8-11 — one :class:`BagSolver` per bag, which internally
@@ -34,26 +36,35 @@ tests of :class:`BagSolver` and its evaluator, at arity >= 3.
 
 Answering (Section 5.2.2): mask the prefix with ``k'(k'-1)/2`` distance
 tests and walk that mask's live entries; for each: test the components
-not containing ``x_k`` inside their canonical bags, then
+not containing ``x_k`` inside their canonical bags, then resolve its
+sorted sources (:meth:`LastCoordinateIndex._sources`, written once for
+both cases):
 
-* **Case II** (``x_k`` close to some prefix position ``j*``): search the
-  kernel of ``X(a_{j*})`` with the bag query
+* **Case II** (``x_k`` close to some prefix position ``j*``): the column
+  of the kernel of ``X(a_{j*})`` under the bag query
   ``psi_J ∧ @K(x_k) ∧ ρ_tau-constraints ∧ far-from-in-bag-strangers``;
 * **Case I** (``x_k`` far from the whole prefix): 2k'+1 candidates — one
-  kernel search per distinct prefix bag (the Splitter vertex is handled
-  inside the bag solver), plus one ``SKIP`` query for solutions outside
+  kernel column per distinct prefix bag (the Splitter vertex is handled
+  inside the bag solver), plus the ``SKIP`` chain for solutions outside
   every kernel.
 
-The final answer is the minimum over all candidates, as in the paper.
+:meth:`~LastCoordinateIndex.first_last` is the minimum of the sources'
+heads, as in the paper.  :meth:`~LastCoordinateIndex.last_coordinates`
+merges the sources themselves: every column is sorted and the ``SKIP``
+chain ascends (Lemma 5.8's pointers, stepped by
+:meth:`~repro.core.skip_pointers.SkipPointers.walk`), so a whole prefix's
+answers cost one set-up and then one merge step each.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from heapq import merge
+from itertools import islice
 
-from repro.contracts import constant_time, frozen_after_build, pseudo_linear, read_only
+from repro.contracts import constant_time, delay, frozen_after_build, pseudo_linear, read_only
 from repro.core.bag_solver import BagSolver
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.distance_index import DistanceIndex
@@ -78,6 +89,11 @@ from repro.logic.syntax import (
 #: Color marking the r-kernel inside each bag's subgraph.
 KERNEL_COLOR = "@K"
 
+#: One sorted source of :meth:`LastCoordinateIndex._sources`: a bag column
+#: (bag ids), the index of its first member at or above the bound, and the
+#: bag's map back to graph ids.
+_Column = tuple[list[int], int, list[int]]
+
 
 @dataclass(frozen=True, slots=True, eq=False)
 class PlanEntry:
@@ -94,9 +110,10 @@ class PlanEntry:
     tests: tuple[tuple[int, tuple[int, ...], Formula, tuple[Var, ...]], ...]
     #: Case II: the prefix position whose bag is searched; None in Case I
     j_star: int | None
-    #: Case II: the prefix positions of ``x_k``'s component, sorted
+    #: the prefix positions of ``x_k``'s component, sorted (none in Case I)
     close: tuple[int, ...]
-    #: Case II: the prefix positions outside it, the stranger candidates
+    #: the prefix positions outside it, the stranger candidates (every
+    #: prefix position in Case I)
     outside: tuple[int, ...]
     #: Case I: the singleton local formula ``psi(x_k)``; None in Case II
     far_psi: Formula | None
@@ -151,12 +168,9 @@ def resolve_plan(decomp: Decomposition) -> dict[int, tuple[PlanEntry, ...]]:
         if not alternatives:
             continue
         component = tau.component_of(last)
-        if component == singleton:
-            j_star, close, outside = None, (), ()
-        else:
-            close = tuple(sorted(component - singleton))
-            j_star = min(j for j in close if tau.has_edge(j, last))
-            outside = tuple(i for i in range(last) if i not in component)
+        close = tuple(sorted(component - singleton))
+        outside = tuple(i for i in range(last) if i not in component)
+        j_star = min((j for j in close if tau.has_edge(j, last)), default=None)
         entries = plan.setdefault(type_mask(range(last), tau.has_edge), [])
         for alt in alternatives:
             tests = []
@@ -228,14 +242,17 @@ class LastCoordinateIndex:
         self.config = config
         self.decomp = decomposition or decompose(phi, self.free_order)
         self.r = self.decomp.radius
-        # Step 2: distance oracle at the type scale
-        with _trace_span("last.distance_index", radius=self.r):
-            self.dist = DistanceIndex(
-                graph,
-                self.r,
-                naive_threshold=config.dist_naive_threshold,
-                max_depth=config.dist_max_depth,
-            )
+        # Step 2: distance oracle at the type scale, for prefixes with a
+        # pair to type (k >= 3); a 1-tuple prefix has none
+        self.dist: DistanceIndex | None = None
+        if self.k >= 3:
+            with _trace_span("last.distance_index", radius=self.r):
+                self.dist = DistanceIndex(
+                    graph,
+                    self.r,
+                    naive_threshold=config.dist_naive_threshold,
+                    max_depth=config.dist_max_depth,
+                )
         # Step 3: (kr, 2kr)-cover and r-kernels
         self.cover = build_cover(graph, self.k * self.r)
         with _trace_span("last.kernels", bags=len(self.cover.bags), radius=self.r):
@@ -331,17 +348,49 @@ class LastCoordinateIndex:
             return None
         lower = max(lower, 0)
         best: int | None = None
-        for entry in self.live_plan.get(type_mask(prefix, self.dist.test), ()):
-            # items (b)/(d): components not containing x_k test directly
-            if entry.tests and not self._test_components(entry, prefix):
-                continue
-            if entry.j_star is None:
-                candidate = self._case_far(entry, prefix, lower)
-            else:
-                candidate = self._case_near(entry, prefix, lower)
-            if candidate is not None and (best is None or candidate < best):
-                best = candidate
+        mask = 0 if self.dist is None else type_mask(prefix, self.dist.test)
+        for entry in self.live_plan.get(mask, ()):
+            columns, far = self._sources(entry, prefix, lower)
+            for column, start, to_old in columns:
+                candidate = to_old[column[start]]
+                if best is None or candidate < best:
+                    best = candidate
+            if far is not None:
+                skips, bag_ids = far
+                candidate = skips.skip(lower, bag_ids)
+                if candidate is not None and (best is None or candidate < best):
+                    best = candidate
         return best
+
+    @delay("O(1)", note="a constant set-up, then one merge step per element")
+    @read_only
+    def last_coordinates(self, prefix: tuple[int, ...], lower: int) -> Iterator[int]:
+        """Every ``b >= lower`` with ``G |= phi(prefix, b)``, ascending.
+
+        The stream :meth:`first_last` is the head of: the same sources,
+        each bag column from its bisect point (mapped back through the
+        bag's relabeling) and, in Case I, the chain of ``SKIP`` values,
+        merged without repeats.
+        """
+        if len(prefix) != self.k - 1:
+            raise ValueError(
+                f"expected a {self.k - 1}-tuple prefix, got {prefix!r}"
+            )
+        if lower >= self.graph.n:
+            return iter(())
+        lower = max(lower, 0)
+        sources: list[Iterator[int]] = []
+        mask = 0 if self.dist is None else type_mask(prefix, self.dist.test)
+        for entry in self.live_plan.get(mask, ()):
+            columns, far = self._sources(entry, prefix, lower)
+            for column, start, to_old in columns:
+                sources.append(map(to_old.__getitem__, islice(column, start, None)))
+            if far is not None:
+                skips, bag_ids = far
+                sources.append(skips.walk(lower, bag_ids))
+        if len(sources) == 1:
+            return sources[0]  # one sorted source has no repeats to drop
+        return _distinct(merge(*sources))
 
     @constant_time(note="Corollary 2.4 via one first_last call")
     @read_only
@@ -368,61 +417,65 @@ class LastCoordinateIndex:
                 return False
         return True
 
-    @constant_time(note="Case II: one kernel search in the j*-bag")
+    @constant_time(note="one column per searched bag, at most k - 1 bags")
     @read_only
-    def _case_near(
+    def _sources(
         self, entry: PlanEntry, prefix: tuple[int, ...], lower: int
-    ) -> int | None:
-        """Case II: ``x_k`` close to the prefix part of its component."""
-        bag_id = self.cover.bag_of(prefix[entry.j_star])
-        solver, to_new, to_old = self.solvers[bag_id]
-        strangers = [
-            prefix[i] for i in entry.outside if self.cover.contains(bag_id, prefix[i])
-        ]
-        query, prefix_vars = entry.queries[len(strangers)]
-        try:
-            close_values = [to_new[prefix[j]] for j in entry.close]
-        except KeyError:
-            return None  # a J-member escaped the bag: no solution of this type
-        values = tuple(close_values) + tuple(to_new[v] for v in strangers)
-        local_lower = bisect_left(to_old, lower)
-        if local_lower >= len(to_old):
-            return None
-        last_var = self.free_order[-1]
-        # contract: amortized — served from the memoized column after first use
-        found = solver.first_at_least(query, prefix_vars, values, last_var, local_lower)
-        return None if found is None else to_old[found]
+    ) -> tuple[list[_Column], tuple[SkipPointers, list[int]] | None]:
+        """The sorted sources whose union is ``entry``'s answers ``>= lower``.
 
-    @constant_time(note="Case I: 2k'+1 candidates (Section 5.2.2)")
-    @read_only
-    def _case_far(
-        self, entry: PlanEntry, prefix: tuple[int, ...], lower: int
-    ) -> int | None:
-        """Case I: ``x_k`` far from every prefix position."""
-        _, skips = self.far_structures[entry.far_psi]
-        bag_ids = sorted({self.cover.bag_of(a) for a in prefix})
+        Returns ``(columns, far)``.  Each column is ``(column, start,
+        to_old)``: a bag column in bag ids, the index of its first member
+        ``>= lower`` (only columns with one are kept), and the bag's map
+        back to graph ids.  ``far`` is Case I's ``(skip pointers, bag
+        ids)``, whose ``SKIP`` chain holds the answers outside every
+        searched kernel; None in Case II.  An entry whose components fail
+        their tests has no sources.
+
+        * **Case II** searches the kernel of ``X(a_{j*})``, with the close
+          positions and the in-bag outside positions (strangers) bound;
+        * **Case I** searches the kernel of every distinct prefix bag,
+          with the prefix positions inside that bag as strangers.
+        """
+        if entry.tests and not self._test_components(entry, prefix):
+            return [], None
+        cover = self.cover
+        if entry.j_star is None:
+            bag_ids = sorted({cover.bag_of(a) for a in prefix})
+            close: list[int] = []
+            far = (self.far_structures[entry.far_psi][1], bag_ids)
+        else:
+            bag_ids = [cover.bag_of(prefix[entry.j_star])]
+            close = [prefix[j] for j in entry.close]
+            far = None
         last_var = self.free_order[-1]
-        best: int | None = None
+        columns = []
         for bag_id in bag_ids:
             solver, to_new, to_old = self.solvers[bag_id]
-            strangers = [a for a in prefix if self.cover.contains(bag_id, a)]
-            query, prefix_vars = entry.queries[len(strangers)]
+            bound = close + [
+                prefix[i] for i in entry.outside if cover.contains(bag_id, prefix[i])
+            ]
+            query, prefix_vars = entry.queries[len(bound) - len(close)]
+            try:
+                values = tuple(map(to_new.__getitem__, bound))
+            except KeyError:
+                continue  # a J-member escaped the bag: no solution of this type
             local_lower = bisect_left(to_old, lower)
             if local_lower >= len(to_old):
-                continue
-            # contract: amortized — served from the memoized column after first use
-            found = solver.first_at_least(
-                query,
-                prefix_vars,
-                tuple(to_new[v] for v in strangers),
-                last_var,
-                local_lower,
-            )
-            if found is not None:
-                candidate = to_old[found]
-                if best is None or candidate < best:
-                    best = candidate
-        outside = skips.skip(lower, bag_ids)
-        if outside is not None and (best is None or outside < best):
-            best = outside
-        return best
+                continue  # the whole bag lies below lower
+            # contract: amortized — BagSolver.column is memoized per prefix
+            column = solver.column(query, prefix_vars, values, last_var)
+            start = bisect_left(column, local_lower)
+            if start < len(column):
+                columns.append((column, start, to_old))
+        return columns, far
+
+
+@delay("O(1)", note="one comparison per element")
+def _distinct(values: Iterator[int]) -> Iterator[int]:
+    """An ascending stream without its repeats."""
+    previous = None
+    for value in values:
+        if value != previous:
+            yield value
+            previous = value

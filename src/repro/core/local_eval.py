@@ -1,11 +1,11 @@
 """Memoized bag-local evaluation.
 
 Inside a bag (a small induced subgraph), the engine needs to (a) test
-local formulas on given tuples and (b) find the smallest last coordinate
-satisfying a local formula for a fixed prefix.  Bags are pseudo-constant
-sized on sparse inputs, so a memoized naive evaluator meets the paper's
-"naive algorithm for small graphs" role (Step 1 of every preprocessing
-phase).
+local formulas on given tuples and (b) list, in order, the last
+coordinates satisfying a local formula for a fixed prefix (its column).
+Bags are pseudo-constant sized on sparse inputs, so a memoized naive
+evaluator meets the paper's "naive algorithm for small graphs" role
+(Step 1 of every preprocessing phase).
 
 Two layers of memoization keep repeated answering-phase queries cheap:
 
@@ -27,7 +27,6 @@ Two layers of memoization keep repeated answering-phase queries cheap:
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
 from typing import Any
 
 from repro.contracts import builds, frozen_after_build, read_only
@@ -184,17 +183,3 @@ class LocalEvaluator:
         with self._memo_lock:
             out = self._column_cache.setdefault(key, out)
         return out
-
-    @read_only
-    def first_at_least(
-        self,
-        phi: Formula,
-        prefix_order: tuple[Var, ...],
-        prefix_values: tuple[int, ...],
-        last_var: Var,
-        lower: int,
-    ) -> int | None:
-        """Smallest ``b >= lower`` with ``graph |= phi(prefix_values, b)``."""
-        col = self.column(phi, prefix_order, prefix_values, last_var)
-        index = bisect_left(col, lower)
-        return col[index] if index < len(col) else None

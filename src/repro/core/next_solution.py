@@ -16,11 +16,25 @@ The nested induction of Section 5 ("the first bullet"):
     prefix candidates with constant-time extension tests.  Testing
     (Corollary 2.4) stays exact constant-time for every arity; only the
     worst-case *delay* guarantee weakens in the fallback — see DESIGN.md.
+
+:meth:`NextSolutionIndex.next_solution` answers one probe (Theorem 2.3);
+:meth:`NextSolutionIndex.solutions` is the stream whose head it is,
+walking each prefix's sorted Lemma 5.2 sources instead of repeating the
+probe per answer, and is what enumeration pulls from (Corollary 2.5).
 """
 
 from __future__ import annotations
 
-from repro.contracts import amortized, constant_time, frozen_after_build, pseudo_linear, read_only
+from collections.abc import Iterator
+
+from repro.contracts import (
+    amortized,
+    constant_time,
+    delay,
+    frozen_after_build,
+    pseudo_linear,
+    read_only,
+)
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.last_coordinate import LastCoordinateIndex
 from repro.core.normal_form import DecompositionError
@@ -134,7 +148,8 @@ class NextSolutionIndex:
     After construction, :meth:`next_solution` returns the smallest
     solution ``>= start`` in lexicographic order (None if exhausted) and
     :meth:`test` decides membership — both in constant time for the
-    decomposable fragment.
+    decomposable fragment — and :meth:`solutions` streams every solution
+    ``>= start`` with constant delay.
     """
 
     @pseudo_linear(note="Theorem 2.3 preprocessing")
@@ -235,6 +250,58 @@ class NextSolutionIndex:
                 f"prefix {next_prefix} advertised an extension but has none"
             )
         return next_prefix + (found,)
+
+    @delay("O(1)", note="Corollary 2.5: one merge step per answer, a constant set-up per prefix")
+    @read_only
+    def solutions(self, start: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """The solutions ``>= start`` in increasing order (Corollary 2.5).
+
+        The stream :meth:`next_solution` is the head of.  For ``k >= 2``
+        it nests the Lemma 5.2 stream of each prefix
+        (:meth:`LastCoordinateIndex.last_coordinates`) over the
+        ``(k-1)``-ary level's prefixes, so consecutive answers share their
+        prefix's set-up instead of repeating it per answer.
+        """
+        if len(start) != self.k:
+            raise ValueError(f"expected a {self.k}-tuple, got {start!r}")
+        if self.k == 0:
+            if self._holds:
+                yield ()
+            return
+        if self.graph.n == 0:
+            return
+        if self.k == 1:
+            found = self._unary.next_solution(start[0])
+            while found is not None:
+                yield (found,)
+                found = self._unary.next_solution(found + 1)
+            return
+        prefix, lower = start[:-1], start[-1]
+        for found in self.last.last_coordinates(prefix, lower):
+            yield prefix + (found,)
+        bumped = increment_tuple(prefix, self.graph.n)
+        if bumped is None:
+            return
+        if isinstance(self._prefix, NextSolutionIndex):
+            # contract: recursion into the (k-1)-ary level's stream; depth bounded by k
+            prefixes = self._prefix.solutions(bumped)
+        else:
+            prefixes = self._walk_prefixes(bumped)
+        for prefix in prefixes:
+            for found in self.last.last_coordinates(prefix, 0):
+                yield prefix + (found,)
+
+    @delay("O(1)", note="one prefix-index call per prefix; amortized in the fallback")
+    @read_only
+    def _walk_prefixes(self, start: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """The extendable prefixes ``>= start``, in order, one
+        :meth:`_next_prefix` call each: the k = 2 prefix
+        :class:`UnaryIndex`, or the fallback's ``next_solution`` loop."""
+        found = self._next_prefix(start)
+        while found is not None:
+            yield found
+            bumped = increment_tuple(found, self.graph.n)
+            found = None if bumped is None else self._next_prefix(bumped)
 
     @constant_time(note="one prefix-index call; amortized in the fallback")
     @read_only

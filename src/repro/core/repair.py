@@ -24,7 +24,8 @@ and **color** flips (a vertex gains or loses a color):
   per-update cost is ball-sized plus the delta bookkeeping — sublinear
   in ``n`` (benchmark E17's gate) — with an automatic collapse to a
   fresh store once the delta stops being small;
-* the Proposition 4.2 distance oracle is repaired the same way
+* the Proposition 4.2 distance oracle, which only levels of arity
+  ``k >= 3`` build, is repaired the same way
   (:class:`PatchedDistanceIndex`): exact ``r``-balls for the touched
   vertices shadow the frozen recursive structure;
 * for arity >= 2, the ``(kr, 2kr)``-cover keeps its bag *identity*
@@ -371,9 +372,12 @@ def _repair_last(
         }
     else:
         # Step 2 repair: exact balls for every vertex the update touched
+        # (k >= 3 only: a level without a distance index gets no overlay)
         touched = _touched_ball(old_graph, new_graph, u, v, old.r)
-        overlay = {a: bounded_bfs(new_graph, [a], old.r) for a in touched}
-        new.dist = PatchedDistanceIndex(old.dist, new_graph, overlay, old.r)
+        new.dist = None
+        if old.dist is not None:
+            overlay = {a: bounded_bfs(new_graph, [a], old.r) for a in touched}
+            new.dist = PatchedDistanceIndex(old.dist, new_graph, overlay, old.r)
 
         # Step 3 repair: the cover invariant — N_radius(a) inside a's
         # canonical bag, for every a — must survive the update.  Deletions

@@ -25,10 +25,10 @@ once at the end instead of paying per-key trie gap maintenance.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from typing import Any
 
-from repro.contracts import constant_time, frozen_after_build, pseudo_linear, read_only
+from repro.contracts import constant_time, delay, frozen_after_build, pseudo_linear, read_only
 from repro.storage.function_store import StoredFunction
 from repro.trace.runtime import span as _trace_span
 
@@ -192,6 +192,23 @@ class SkipPointers:
         if not 0 <= b < self.n:
             raise ValueError(f"vertex {b} out of range [0, {self.n})")
         return self._resolve(b, bag_set, self._store)
+
+    @delay("O(1)", note="Lemma 5.8: one SKIP resolve per element")
+    @read_only
+    def walk(self, lower: int, bags: Collection[int]) -> Iterator[int]:
+        """Every element of ``SKIP``'s range from ``lower`` on, ascending.
+
+        The chain ``SKIP(lower, bags)``, ``SKIP(found + 1, bags)``, ...:
+        the members of ``L`` that are ``>= lower`` and outside every
+        kernel of ``bags``, one Claim 5.9 resolve each.
+        """
+        found = self.skip(lower, bags)
+        bag_set = frozenset(bags)
+        while found is not None:
+            yield found
+            if found + 1 >= self.n:
+                return
+            found = self._resolve(found + 1, bag_set, self._store)
 
     @property
     @read_only

@@ -66,7 +66,11 @@ from repro.logic.syntax import Formula, Var
 #: no longer memoizes its merged solution list and ``LocalEvaluator`` has
 #: no ``_free_cache`` slot.  A v5 pickle lacks the fields a v6 index
 #: answers from.
-FORMAT_VERSION = 6
+#: v7: an arity-2 ``LastCoordinateIndex`` pickles no distance index
+#: (``dist`` is None: a 1-tuple prefix has no pair to type), and a Case-I
+#: ``PlanEntry`` lists every prefix position as ``outside``.  A v6 pickle
+#: carries the old Case-I entries that v7 answering misreads.
+FORMAT_VERSION = 7
 
 
 def graph_digest(graph: ColoredGraph) -> str:

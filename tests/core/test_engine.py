@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import EngineConfig
 from repro.core.engine import open_index
 from repro.core.normal_form import DecompositionError
 from repro.graphs.generators import path, random_tree
@@ -127,6 +128,8 @@ def test_stats_indexed():
     assert level["radius"] == 2
     assert level["cover_bags"] >= 1
     assert set(level["bag_solver_modes"]) <= {"naive", "splitter"}
+    assert level["distance_index"] is False  # a 1-tuple prefix has no pair to type
+    assert sum(level["removal_depths"].values()) == level["cover_bags"]
 
 
 def test_stats_naive():
@@ -144,6 +147,11 @@ def test_stats_reports_nested_levels_for_arity3():
     index = open_index(g, "E(x, y) & E(y, z)")
     stats = index.stats()
     assert [level["arity"] for level in stats["levels"]] == [3, 2]
+    assert [level["distance_index"] for level in stats["levels"]] == [True, False]
+    small_bags = EngineConfig(bag_naive_threshold=6)
+    [outer, _] = open_index(g, "E(x, y) & E(y, z)", config=small_bags).stats()["levels"]
+    assert max(outer["removal_depths"]) >= 1
+    assert sum(outer["removal_depths"].values()) == outer["cover_bags"]
 
 
 def test_naive_enumerate_resumes_with_bisect():

@@ -48,6 +48,52 @@ def test_first_last_matches_brute_force(text):
         assert index.first_last(prefix, lower) == expected, (text, prefix, lower)
 
 
+def brute_last_coordinates(graph, phi, order, prefix, lower):
+    assignment = dict(zip(order[:-1], prefix))
+    out = []
+    for b in range(lower, graph.n):
+        assignment[order[-1]] = b
+        if evaluate(graph, phi, assignment):
+            out.append(b)
+    return out
+
+
+@pytest.mark.parametrize(
+    "text",
+    QUERIES_2
+    + [
+        "E(x, y) & E(y, z)",
+        "E(x, y) & dist(x, z) > 2 & Blue(z)",
+        "(Red(x) & E(x, y)) | (Blue(x) & dist(x, y) > 1)",
+    ],
+)
+def test_last_coordinates_matches_brute_force(text):
+    """The stream is every solution's last coordinate from the bound on,
+    ascending and without repeats, whatever the sources overlap in."""
+    g = random_planar_like_graph(40, seed=6)
+    phi = parse_formula(text)
+    order = tuple(sorted(free_variables(phi), key=lambda v: v.name))
+    index = LastCoordinateIndex(g, phi, order, config=TINY)
+    rng = random.Random(12)
+    for _ in range(60):
+        prefix = tuple(rng.randrange(g.n) for _ in order[:-1])
+        lower = rng.randrange(g.n + 2) - 1
+        expected = brute_last_coordinates(g, phi, order, prefix, max(lower, 0))
+        got = list(index.last_coordinates(prefix, lower))
+        assert got == expected, (text, prefix, lower)
+        assert index.first_last(prefix, lower) == (got[0] if got else None)
+
+
+def test_arity_2_builds_no_distance_index():
+    g = grid(6, 6)
+    binary = LastCoordinateIndex(g, parse_formula("E(x, y)"), (Var("x"), Var("y")))
+    ternary = LastCoordinateIndex(
+        g, parse_formula("E(x, y) & E(y, z)"), (Var("x"), Var("y"), Var("z"))
+    )
+    assert binary.dist is None and set(binary.live_plan) == {0}
+    assert ternary.dist is not None
+
+
 def test_test_is_exact():
     g = random_tree(40, seed=2)
     phi = parse_formula("dist(x, y) > 2 & Blue(y)")

@@ -1,5 +1,7 @@
 """Unit tests for the memoized bag-local evaluator."""
 
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,9 +38,15 @@ def test_first_at_least():
     g = path(10, palette=())
     ev = LocalEvaluator(g)
     phi = parse_formula("E(x, y)")
-    assert ev.first_at_least(phi, (x,), (4,), y, 0) == 3
-    assert ev.first_at_least(phi, (x,), (4,), y, 4) == 5
-    assert ev.first_at_least(phi, (x,), (4,), y, 6) is None
+    col = ev.column(phi, (x,), (4,), y)
+
+    def first_at_least(lower):
+        index = bisect_left(col, lower)
+        return col[index] if index < len(col) else None
+
+    assert first_at_least(0) == 3
+    assert first_at_least(4) == 5
+    assert first_at_least(6) is None
 
 
 def test_memoization_returns_same_object():

@@ -41,6 +41,21 @@ def test_matches_brute_force(k):
         assert skips.skip(b, bags) == expected, (b, bags)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_walk_is_the_skip_chain(k):
+    """``walk`` yields the whole range of ``SKIP`` from a bound, in order."""
+    g = random_tree(120, seed=5)
+    cover, kernels, targets, rng = build_setup(g, 2, seed=10 + k)
+    skips = SkipPointers(g.n, targets, kernels, k=k)
+    kernel_sets = [set(K) for K in kernels]
+    for _ in range(60):
+        b = rng.randrange(g.n)
+        bags = rng.sample(range(cover.num_bags), min(k, cover.num_bags))
+        excluded = set().union(*(kernel_sets[bag] for bag in bags))
+        expected = [t for t in sorted(targets) if t >= b and t not in excluded]
+        assert list(skips.walk(b, bags)) == expected, (b, bags)
+
+
 def test_empty_target_list():
     g = grid(6, 6)
     cover, kernels, _, _ = build_setup(g, 1, seed=0)
